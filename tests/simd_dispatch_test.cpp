@@ -8,9 +8,11 @@
 // other.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -394,6 +396,159 @@ TEST(SimdBitExact, FusedModelBlocks) {
     A.acc_edge_features_bw(dha.data(), eg.data(), idx.data(), en, ek, c);
     EXPECT_TRUE(bytes_equal(dhs.data(), dha.data(), dhs.size()))
         << "acc_edge_features_bw c=" << c;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Masked kernels vs their original ternary expressions
+//
+// The masked kernels are written as bit selects so that gcc vectorizes
+// them; the scalar-vs-AVX2 tests above cannot see a numerics change that
+// both tables share. These pin every table to literal references of the
+// ternary forms, on NaN, ±inf, ±0 and denormal inputs.
+// ---------------------------------------------------------------------------
+
+/// Every (value, mask) pair once, value-major: `value` runs over finite,
+/// ±0, NaN, ±inf, ±denormal and huge gradients / activations, `mask` over
+/// ReLU outputs / references {±0, NaN, ±denormal, ±inf, ±finite}. Laid out
+/// as a [values, masks] matrix, row i holds value i and column j mask j.
+struct SpecialPairs {
+  std::vector<float> value, mask;
+  std::int64_t rows = 0, cols = 0;
+};
+
+SpecialPairs special_pairs() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min() * 3.0f;
+  const std::vector<float> values = {1.5f, -2.25f,  0.0f,    -0.0f, nan,
+                                     inf,  -inf,    denorm,  -denorm, 3.0e38f};
+  const std::vector<float> masks = {0.0f,  -0.0f, nan, denorm, -denorm,
+                                    0.75f, -0.5f, inf, -inf};
+  SpecialPairs p;
+  p.rows = static_cast<std::int64_t>(values.size());
+  p.cols = static_cast<std::int64_t>(masks.size());
+  for (const float v : values) {
+    for (const float m : masks) {
+      p.value.push_back(v);
+      p.mask.push_back(m);
+    }
+  }
+  return p;
+}
+
+/// Same bits, or both NaN: a NaN's payload follows operand order, which
+/// the compiler may commute, so only NaN-ness is part of the contract.
+bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+std::vector<const simd::Kernels*> all_tables() {
+  std::vector<const simd::Kernels*> tables = {&simd::scalar_kernels()};
+  if (simd::avx2_kernels() != nullptr) tables.push_back(simd::avx2_kernels());
+  return tables;
+}
+
+TEST(SimdReference, MaskedElementwiseKernels) {
+  const SpecialPairs pairs = special_pairs();
+  const std::vector<float>& g = pairs.value;
+  const std::vector<float>& ref = pairs.mask;
+  const size_t n = g.size();
+  const std::vector<float> base = test_values(n, 30);  // finite accumulators
+  const float slope = 0.2f;
+
+  std::vector<float> relu_ref(base), leaky_ref(base);
+  for (size_t i = 0; i < n; ++i) {
+    relu_ref[i] += g[i] * (ref[i] > 0.0f ? 1.0f : 0.0f);
+    leaky_ref[i] += g[i] * (ref[i] > 0.0f ? 1.0f : slope);
+  }
+  // ew_leaky_relu sees both the special values and the mask values.
+  std::vector<float> a(g);
+  a.insert(a.end(), ref.begin(), ref.end());
+  std::vector<float> leaky_fwd(a.size()), leaky_fwd_ref(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    leaky_fwd_ref[i] = a[i] > 0.0f ? a[i] : a[i] * slope;
+  }
+
+  for (const simd::Kernels* t : all_tables()) {
+    std::vector<float> y(base);
+    t->acc_relu_mask(y.data(), g.data(), ref.data(), n);
+    EXPECT_TRUE(same_floats(y, relu_ref)) << t->name << " acc_relu_mask";
+    y = base;
+    t->acc_leaky_mask(y.data(), g.data(), ref.data(), slope, n);
+    EXPECT_TRUE(same_floats(y, leaky_ref)) << t->name << " acc_leaky_mask";
+    t->ew_leaky_relu(a.data(), slope, leaky_fwd.data(), a.size());
+    EXPECT_TRUE(same_floats(leaky_fwd, leaky_fwd_ref)) << t->name << " ew_leaky_relu";
+  }
+}
+
+/// Reference of acc_bn_relu_eval_bw in its original ternary form; null
+/// dgamma/dbeta selects the dx-only path.
+void bn_relu_bw_reference(float* dx, float* dgamma, float* dbeta, const float* g,
+                          const float* y, const float* x, const float* gamma,
+                          const float* mean, const float* inv_std, std::int64_t n,
+                          std::int64_t c) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < c; ++j) {
+      const std::int64_t e = i * c + j;
+      const float dh = g[e] * (y[e] > 0.0f ? 1.0f : 0.0f);
+      if (dgamma != nullptr) dgamma[j] += dh * ((x[e] - mean[j]) * inv_std[j]);
+      if (dbeta != nullptr) dbeta[j] += dh;
+      dx[e] += dh * gamma[j] * inv_std[j];
+    }
+  }
+}
+
+void expect_bn_relu_bw_matches_reference(const std::vector<float>& g,
+                                         const std::vector<float>& y, std::int64_t n,
+                                         std::int64_t c, const std::string& label) {
+  const auto x = test_values(static_cast<size_t>(n * c), 31);
+  const auto gamma = test_values(static_cast<size_t>(c), 32);
+  const auto mean = test_values(static_cast<size_t>(c), 33);
+  auto inv_std = test_values(static_cast<size_t>(c), 34);
+  for (auto& v : inv_std) v = 0.5f + (v > 0 ? v : -v);
+  const std::vector<float> dx0 = test_values(static_cast<size_t>(n * c), 35);
+  const std::vector<float> dg0 = test_values(static_cast<size_t>(c), 36);
+  const std::vector<float> db0 = test_values(static_cast<size_t>(c), 37);
+
+  std::vector<float> dx_ref(dx0), dg_ref(dg0), db_ref(db0), dx_only_ref(dx0);
+  bn_relu_bw_reference(dx_ref.data(), dg_ref.data(), db_ref.data(), g.data(), y.data(),
+                       x.data(), gamma.data(), mean.data(), inv_std.data(), n, c);
+  bn_relu_bw_reference(dx_only_ref.data(), nullptr, nullptr, g.data(), y.data(),
+                       x.data(), gamma.data(), mean.data(), inv_std.data(), n, c);
+
+  for (const simd::Kernels* t : all_tables()) {
+    std::vector<float> dx(dx0), dg(dg0), db(db0);
+    t->acc_bn_relu_eval_bw(dx.data(), dg.data(), db.data(), g.data(), y.data(), x.data(),
+                           gamma.data(), mean.data(), inv_std.data(), n, c);
+    EXPECT_TRUE(same_floats(dx, dx_ref)) << t->name << " all-grads dx " << label;
+    EXPECT_TRUE(same_floats(dg, dg_ref)) << t->name << " all-grads dgamma " << label;
+    EXPECT_TRUE(same_floats(db, db_ref)) << t->name << " all-grads dbeta " << label;
+    dx = dx0;
+    t->acc_bn_relu_eval_bw(dx.data(), nullptr, nullptr, g.data(), y.data(), x.data(),
+                           gamma.data(), mean.data(), inv_std.data(), n, c);
+    EXPECT_TRUE(same_floats(dx, dx_only_ref)) << t->name << " dx-only " << label;
+  }
+}
+
+TEST(SimdReference, BnReluBackward) {
+  // dx covers every (g, y) pair of the special values.
+  const SpecialPairs pairs = special_pairs();
+  expect_bn_relu_bw_matches_reference(pairs.value, pairs.mask, pairs.rows, pairs.cols,
+                                      "special values");
+  // Finite values over every channel tail: dgamma/dbeta stay finite, so
+  // their accumulation chains are compared bit for bit.
+  for (const std::int64_t c : tail_sizes()) {
+    const std::int64_t n = 6;
+    const auto fg = test_values(static_cast<size_t>(n * c), 38);
+    const auto fy = test_values(static_cast<size_t>(n * c), 39);
+    expect_bn_relu_bw_matches_reference(fg, fy, n, c,
+                                        "finite values c=" + std::to_string(c));
   }
 }
 
