@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <deque>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -791,6 +792,93 @@ void parallel_for(std::size_t jobs, int workers,
   pool.run(jobs, fn);
 }
 
+/// Capture-once / replay-many execution of one repeated gradient pass (a
+/// cloud's attack step, or one cloud's share of a shared-delta round).
+/// The first eager pass is recorded into a compiled plan and later passes
+/// replay its flat op schedule — byte-identical by construction: same
+/// kernels, same buffers, same order. Owns the plan, its pinned output,
+/// the invalidation epoch and the plan.* counters.
+///
+/// Per pass, forward() then backward(), on one thread. A capture armed by
+/// a forward() whose backward() never runs (the stop criterion ended the
+/// loop) is aborted by the next forward() or by the destructor.
+class StepPlan {
+ public:
+  StepPlan(bool enabled, obs::trace::Label forward_span, obs::trace::Label backward_span)
+      : enabled_(enabled), forward_span_(forward_span), backward_span_(backward_span) {}
+
+  /// Runs the forward pass and returns its output. `epoch` is the graph
+  /// shape's invalidation counter (Projection::plan_epoch); a plan
+  /// captured under another epoch is dropped and this pass re-captures.
+  /// `prepare(replay)` runs first, outside the forward span: eager passes
+  /// build their inputs there, replays refresh the captured leaves. Eager
+  /// passes then call `run()`, which builds the graph and returns its
+  /// output; replays rerun the captured forward schedule instead.
+  template <typename Prepare, typename Run>
+  const Tensor& forward(std::uint64_t epoch, Prepare&& prepare, Run&& run) {
+    if (plan_.valid() && epoch != epoch_) {
+      plan_.reset();
+      fallbacks_.add(1);
+    }
+    if (plan_.valid()) {
+      replays_.add(1);
+      prepare(/*replay=*/true);
+      obs::trace::ScopedSpan span(forward_span_);
+      plan_.replay_forward();
+      return out_;
+    }
+    out_ = Tensor();  // last pass's output (or a dropped plan's pinned one)
+    if (enabled_) builder_.emplace();
+    epoch_ = epoch;
+    prepare(/*replay=*/false);
+    obs::trace::ScopedSpan span(forward_span_);
+    out_ = run();
+    return out_;
+  }
+
+  /// Runs the backward pass. Eager passes build the loss with
+  /// `make_loss()`, call `before_backward()`, backpropagate and finish a
+  /// pending capture; replays call `before_backward()` and rerun the
+  /// captured reverse schedule.
+  template <typename MakeLoss, typename BeforeBackward>
+  void backward(MakeLoss&& make_loss, BeforeBackward&& before_backward) {
+    if (plan_.valid()) {
+      before_backward();
+      obs::trace::ScopedSpan span(backward_span_);
+      plan_.replay_backward();
+      return;
+    }
+    Tensor loss = make_loss();
+    before_backward();
+    {
+      obs::trace::ScopedSpan span(backward_span_);
+      loss.backward();
+    }
+    if (!builder_) return;
+    if (builder_->finish(plan_)) {
+      captures_.add(1);
+    } else {
+      // Uncapturable op in the graph (training-mode statistics, fresh RNG
+      // state): stay eager for the rest of this run.
+      enabled_ = false;
+      fallbacks_.add(1);
+    }
+    builder_.reset();
+  }
+
+ private:
+  bool enabled_;
+  obs::trace::Label forward_span_;
+  obs::trace::Label backward_span_;
+  std::optional<tplan::PlanBuilder> builder_;
+  tplan::CompiledPlan plan_;
+  Tensor out_;  ///< this pass's output; pinned across passes while plan_ is valid
+  std::uint64_t epoch_ = 0;
+  obs::metrics::Counter& captures_ = obs::metrics::counter("plan.captures");
+  obs::metrics::Counter& replays_ = obs::metrics::counter("plan.replays");
+  obs::metrics::Counter& fallbacks_ = obs::metrics::counter("plan.fallbacks");
+};
+
 std::string join_errors(const std::vector<std::string>& errors) {
   std::ostringstream os;
   os << "invalid AttackConfig:";
@@ -891,14 +979,6 @@ void AttackEngine::emit(const ExecPolicy& policy, const AttackProgress& event) c
   policy.observer(event);
 }
 
-AttackResult AttackEngine::run(const PointCloud& cloud) const {
-  return run(cloud, config_.seed, setter_policy());
-}
-
-AttackResult AttackEngine::run(const PointCloud& cloud, std::uint64_t seed) const {
-  return run(cloud, seed, setter_policy());
-}
-
 AttackResult AttackEngine::run(const PointCloud& cloud, const ExecPolicy& policy) const {
   return run(cloud, config_.seed, policy);
 }
@@ -907,11 +987,6 @@ AttackResult AttackEngine::run(const PointCloud& cloud, std::uint64_t seed,
                                const ExecPolicy& policy) const {
   ScopedParamFreeze freeze(model_);
   return attack_cloud(cloud, seed, 0, policy);
-}
-
-std::vector<AttackResult> AttackEngine::run_batch(
-    std::span<const PointCloud> clouds) const {
-  return run_batch(clouds, setter_policy());
 }
 
 std::vector<AttackResult> AttackEngine::run_batch(std::span<const PointCloud> clouds,
@@ -950,9 +1025,6 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
       std::string("attack.step_ms.") + model_.name() + "." +
       tensor::simd::active_name());
   obs::metrics::Counter& steps_total = obs::metrics::counter("attack.steps");
-  obs::metrics::Counter& plan_captures = obs::metrics::counter("plan.captures");
-  obs::metrics::Counter& plan_replays = obs::metrics::counter("plan.replays");
-  obs::metrics::Counter& plan_fallbacks = obs::metrics::counter("plan.fallbacks");
   obs::trace::ScopedSpan cloud_span(kCloudSpan);
 
   Rng rng(seed);
@@ -962,50 +1034,38 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   auto stop = recipe_.make_stop();
   projection->init(cloud, mask, rng);
 
-  // Capture-once / replay-many: the first eager step is recorded into a
-  // compiled plan and subsequent steps replay its flat op schedule
-  // (byte-identical by construction — same kernels, same buffers, same
-  // order). Restricted to color-field attacks: coordinate deltas change
+  // Plans are restricted to color-field attacks: coordinate deltas change
   // the host-side neighbor graphs every step, so there is no fixed graph
   // to capture, and skipping that rebuild is exactly what replay buys.
   const PlanCompat plan_compat = projection->plan_compat();
-  bool plan_enabled = policy.plan && config_.use_plan &&
-                      config_.field == AttackField::kColor &&
-                      model_.plan_safe_forward() &&
-                      plan_compat != PlanCompat::kIncompatible;
-  tplan::CompiledPlan plan;
-  Tensor plan_logits;  // keeps the captured graph's output node alive
-  std::uint64_t plan_epoch = 0;
-
   int step = 0;
   const int budget = stop->max_steps();
-  for (; step < budget; ++step) {
-    obs::trace::ScopedSpan step_span(kStepSpan);
-    step_span.arg(kStepArg, step);
-    obs::metrics::ScopedTimerMs step_timer(step_ms);
-    steps_total.add(1);
+  {
+    StepPlan plan(policy.plan && config_.field == AttackField::kColor &&
+                      model_.plan_safe_forward() && plan_compat != PlanCompat::kIncompatible,
+                  kForwardSpan, kBackwardSpan);
+    for (; step < budget; ++step) {
+      obs::trace::ScopedSpan step_span(kStepSpan);
+      step_span.arg(kStepArg, step);
+      obs::metrics::ScopedTimerMs step_timer(step_ms);
+      steps_total.add(1);
 
-    if (plan.valid() && projection->plan_epoch() != plan_epoch) {
-      // The projection invalidated the captured graph (an L0 restoration
-      // changed its shape): drop the plan and fall back to an eager step,
-      // which re-captures below.
-      plan.reset();
-      plan_logits = Tensor();
-      plan_fallbacks.add(1);
-    }
-
-    if (plan.valid()) {
-      plan_replays.add(1);
-      if (plan_compat == PlanCompat::kRefreshLeaves) {
-        // Values live in raw projection storage; copy them back into the
-        // captured leaf tensors (and zero their grads) before replaying.
-        (void)projection->make_deltas();
-      }
-      {
-        obs::trace::ScopedSpan span(kForwardSpan);
-        plan.replay_forward();
-      }
-      const std::vector<int> pred = ops::argmax_rows(plan_logits);
+      FieldDeltas deltas;
+      const Tensor& logits = plan.forward(
+          projection->plan_epoch(),
+          [&](bool replay) {
+            // A kRefreshLeaves replay copies the raw projection values back
+            // into the captured leaves (and zeroes their grads); a
+            // kCapturedGraph replay recomputes the deltas inside the plan.
+            if (!replay || plan_compat == PlanCompat::kRefreshLeaves) {
+              deltas = projection->make_deltas();
+            }
+          },
+          [&] {
+            return model_.forward(ModelInput{&cloud, deltas.color, deltas.coord},
+                                  /*training=*/false);
+          });
+      const std::vector<int> pred = ops::argmax_rows(logits);
       const double gain = objective->gain(pred, cloud, mask, model_.num_classes());
       projection->observe_gain(gain);
       emit(policy, {cloud_index, step, gain});
@@ -1013,11 +1073,12 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
       const StepAction action = stop->on_gain(step, gain, objective->converged(gain));
       if (action == StepAction::kStop) break;
 
-      step_rule->zero_grad(*projection);
-      {
-        obs::trace::ScopedSpan span(kBackwardSpan);
-        plan.replay_backward();
-      }
+      plan.backward(
+          [&] {
+            obs::trace::ScopedSpan span(kObjectiveSpan);
+            return projection->total_loss(objective->loss(logits, cloud, mask));
+          },
+          [&] { step_rule->zero_grad(*projection); });
       {
         obs::trace::ScopedSpan span(kProjectionSpan);
         step_rule->apply(*projection);
@@ -1025,54 +1086,8 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
         if (action == StepAction::kRestart) projection->random_restart(rng);
         projection->post_step();
       }
-      continue;
     }
-
-    std::optional<tplan::PlanBuilder> builder;
-    if (plan_enabled) builder.emplace();
-    FieldDeltas deltas = projection->make_deltas();
-    ModelInput input{&cloud, deltas.color, deltas.coord};
-    Tensor logits = [&] {
-      obs::trace::ScopedSpan span(kForwardSpan);
-      return model_.forward(input, /*training=*/false);
-    }();
-    const std::vector<int> pred = ops::argmax_rows(logits);
-    const double gain = objective->gain(pred, cloud, mask, model_.num_classes());
-    projection->observe_gain(gain);
-    emit(policy, {cloud_index, step, gain});
-
-    const StepAction action = stop->on_gain(step, gain, objective->converged(gain));
-    if (action == StepAction::kStop) break;  // builder dtor aborts the capture
-
-    Tensor loss = [&] {
-      obs::trace::ScopedSpan span(kObjectiveSpan);
-      return projection->total_loss(objective->loss(logits, cloud, mask));
-    }();
-    step_rule->zero_grad(*projection);
-    {
-      obs::trace::ScopedSpan span(kBackwardSpan);
-      loss.backward();
-    }
-    if (builder) {
-      if (builder->finish(plan)) {
-        plan_logits = logits;
-        plan_epoch = projection->plan_epoch();
-        plan_captures.add(1);
-      } else {
-        // Uncapturable op in the graph (training-mode statistics, fresh
-        // RNG state): stay eager for the rest of this run.
-        plan_enabled = false;
-        plan_fallbacks.add(1);
-      }
-    }
-    {
-      obs::trace::ScopedSpan span(kProjectionSpan);
-      step_rule->apply(*projection);
-      projection->project();
-      if (action == StepAction::kRestart) projection->random_restart(rng);
-      projection->post_step();
-    }
-  }
+  }  // leaving the scope aborts a capture armed by a step that stopped
 
   AttackResult result;
   result.steps_used = step;
@@ -1081,10 +1096,6 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   result.predictions = model_.predict(result.perturbed);
   measure_perturbation(cloud, result.perturbed, result);
   return result;
-}
-
-SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds) const {
-  return run_shared(clouds, setter_policy());
 }
 
 SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
@@ -1137,22 +1148,19 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
   // later rounds refresh the leaf values and replay the flat schedule.
   // A plan may replay on a different worker thread than the one that
   // captured it — safe, because replay touches only the pinned buffers and
-  // pool.run barriers order the rounds. plan_dead marks clouds whose
-  // capture failed (they stay eager for the whole run).
-  const bool plans_enabled =
-      policy.plan && config_.use_plan && model_.plan_safe_forward();
-  std::vector<tplan::CompiledPlan> plans(clouds.size());
-  std::vector<Tensor> plan_losses(clouds.size());
-  std::vector<std::uint8_t> plan_dead(clouds.size(), 0);
+  // pool.run barriers order the rounds. A deque, because a StepPlan holds
+  // a PlanBuilder and so cannot move.
+  std::deque<StepPlan> plans;
+  for (std::size_t ci = 0; ci < clouds.size(); ++ci) {
+    plans.emplace_back(policy.plan && model_.plan_safe_forward(), /*forward_span=*/0,
+                       /*backward_span=*/0);
+  }
   // Telemetry only: one span per shared-PGD round plus a per-cloud
   // gradient-pass span emitted from the worker threads.
   static const obs::trace::Label kRoundSpan = obs::trace::intern("attack.shared.step");
   static const obs::trace::Label kGradSpan = obs::trace::intern("attack.shared.grad");
   static const obs::trace::Label kStepArg = obs::trace::intern("step");
   obs::metrics::Counter& shared_steps = obs::metrics::counter("attack.shared.steps");
-  obs::metrics::Counter& plan_captures = obs::metrics::counter("plan.captures");
-  obs::metrics::Counter& plan_replays = obs::metrics::counter("plan.replays");
-  obs::metrics::Counter& plan_fallbacks = obs::metrics::counter("plan.fallbacks");
   int step = 0;
   for (; step < config_.steps; ++step) {
     obs::trace::ScopedSpan round_span(kRoundSpan);
@@ -1161,38 +1169,24 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
     pool.run(clouds.size(), [&](std::size_t ci) {
       obs::trace::ScopedSpan grad_span(kGradSpan);
       Tensor& delta = deltas[ci];
-      if (plans[ci].valid()) {
-        plan_replays.add(1);
-        std::copy(result.color_delta.begin(), result.color_delta.end(), delta.data());
-        plans[ci].replay_forward();
-        plans[ci].replay_backward();
-        losses[ci] = plan_losses[ci].item();
-        return;
-      }
-      std::optional<tplan::PlanBuilder> builder;
-      if (plans_enabled && !plan_dead[ci]) builder.emplace();
-      if (!delta.defined()) {
-        delta = Tensor::from_data({n, 3}, result.color_delta);
-        delta.set_requires_grad(true);
-      } else {
-        std::copy(result.color_delta.begin(), result.color_delta.end(), delta.data());
-        delta.zero_grad();
-      }
-      ModelInput input{&clouds[ci], delta, {}};
-      Tensor logits = model_.forward(input, /*training=*/false);
-      Tensor loss = ops::hinge_margin_loss(logits, clouds[ci].labels, {},
-                                           /*targeted=*/false);
-      loss.backward();
+      const Tensor& loss = plans[ci].forward(
+          /*epoch=*/0,
+          [&](bool replay) {
+            if (!delta.defined()) {
+              delta = Tensor::from_data({n, 3}, result.color_delta);
+              delta.set_requires_grad(true);
+              return;
+            }
+            std::copy(result.color_delta.begin(), result.color_delta.end(), delta.data());
+            if (!replay) delta.zero_grad();  // a replay zeroes its captured grads itself
+          },
+          [&] {
+            const Tensor logits =
+                model_.forward(ModelInput{&clouds[ci], delta, {}}, /*training=*/false);
+            return ops::hinge_margin_loss(logits, clouds[ci].labels, {}, /*targeted=*/false);
+          });
+      plans[ci].backward([&] { return loss; }, [] {});
       losses[ci] = loss.item();
-      if (builder) {
-        if (builder->finish(plans[ci])) {
-          plan_losses[ci] = loss;
-          plan_captures.add(1);
-        } else {
-          plan_dead[ci] = 1;
-          plan_fallbacks.add(1);
-        }
-      }
     });
 
     std::vector<double> grad_sum(static_cast<size_t>(n * 3), 0.0);

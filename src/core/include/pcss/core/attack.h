@@ -75,15 +75,6 @@ struct AttackConfig {
   int stall_patience = 10;  ///< CW random-restart trigger (paper §IV-B)
   std::uint64_t seed = 99;  ///< random init / restart noise
 
-  /// Capture the first eager step into a compiled plan and replay it on
-  /// subsequent steps (pcss/tensor/plan.h). Replays are byte-identical to
-  /// eager execution, so this is a pure execution knob: it MUST NOT enter
-  /// cache keys or any serialized document (it is deliberately absent from
-  /// canonical_description). The engine additionally requires a
-  /// plan-compatible model/projection/field and silently stays eager
-  /// otherwise.
-  bool use_plan = true;
-
   /// Checks every config-level invariant and returns a human-readable
   /// description of each violation (empty = valid). `num_classes`, when
   /// >= 0, additionally bounds target_class for object hiding;

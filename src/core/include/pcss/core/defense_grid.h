@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "pcss/core/attack.h"
+#include "pcss/core/attack_engine.h"
 #include "pcss/core/defense_stage.h"
 
 namespace pcss::core {
@@ -74,8 +75,8 @@ struct DefenseGridOptions {
   /// attack RNG (config.seed + global index) and defense streams are
   /// invariant under any partitioning of the cloud list.
   std::size_t cloud_index_base = 0;
-  /// AttackEngine workers for the attack columns. 0 = hardware.
-  int num_threads = 0;
+  /// Engine execution policy for the attack columns (threads, plans).
+  ExecPolicy policy;
 };
 
 /// Runs every non-clean attack column once on `source` (batched, RNG

@@ -391,13 +391,12 @@ GridSetup make_grid_setup(const ExperimentSpec& spec, ModelProvider& provider,
 /// defense streams (defense_cell_seed at global g), so the result is
 /// invariant under any partitioning.
 GridShardData compute_grid_shard(const GridSetup& setup, const ExperimentSpec& spec,
-                                 const RunOptions& options,
                                  std::span<const PointCloud> clouds, std::size_t offset,
-                                 std::size_t count) {
+                                 std::size_t count, const ExecPolicy& policy) {
   pcss::core::DefenseGridOptions grid_options;
   grid_options.defense_seed = spec.defense_seed;
   grid_options.cloud_index_base = offset;
-  grid_options.num_threads = options.num_threads;
+  grid_options.policy = policy;
   const pcss::core::DefenseGridResult result = pcss::core::evaluate_defense_grid(
       *setup.source, setup.victims, clouds.subspan(offset, count), setup.attacks,
       setup.defenses, grid_options);
@@ -489,7 +488,7 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
         }
       }
       if (!from_cache) {
-        shard = compute_grid_shard(setup, spec, options, clouds, offset, count);
+        shard = compute_grid_shard(setup, spec, clouds, offset, count, shard_policy(options));
         store.put(shard_key, grid_shard_to_json(shard).dump() + "\n");
         for (const auto& trace : shard.attacks) {
           for (long long s : trace.steps) out.attack_steps += s;
@@ -1027,7 +1026,8 @@ class WorkerPlanner {
                               long long& steps) {
     if (shard.grid) {
       const GridShardData data =
-          compute_grid_shard(grid(), spec_, options_, clouds_, shard.offset, shard.count);
+          compute_grid_shard(grid(), spec_, clouds_, shard.offset, shard.count,
+                             shard_policy(options_));
       for (const auto& trace : data.attacks) {
         for (long long s : trace.steps) steps += s;
       }

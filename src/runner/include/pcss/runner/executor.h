@@ -46,7 +46,9 @@ struct RunOptions {
   /// Compiled-plan capture/replay inside the attack loop (plan.h).
   /// Replays are byte-identical to eager steps, so this is pure execution
   /// policy like num_threads: it never enters cache keys and toggling it
-  /// yields the same document bytes (tested in tests/plan_test.cpp).
+  /// yields the same document bytes with zero plan captures and replays
+  /// (tested in tests/runner_test.cpp, for table, shared-delta and grid
+  /// specs).
   bool plan = true;
 
   std::function<void(const ShardProgress&)> on_progress;  ///< may be empty

@@ -154,13 +154,9 @@ TEST_F(EngineFixture, RunBatchDeterministicAcrossThreadCounts) {
   config.norm = AttackNorm::kBounded;
   config.steps = 3;
 
-  AttackEngine sequential(*model_, config);
-  sequential.set_num_threads(1);
-  const auto seq = sequential.run_batch(*clouds_);
-
-  AttackEngine pooled(*model_, config);
-  pooled.set_num_threads(2);
-  const auto par = pooled.run_batch(*clouds_);
+  const AttackEngine engine(*model_, config);
+  const auto seq = engine.run_batch(*clouds_, {.threads = 1});
+  const auto par = engine.run_batch(*clouds_, {.threads = 2});
 
   ASSERT_EQ(seq.size(), clouds_->size());
   ASSERT_EQ(par.size(), clouds_->size());
@@ -189,12 +185,9 @@ TEST_F(EngineFixture, RunBatchUnboundedDeterministicAcrossThreadCounts) {
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 4;
 
-  AttackEngine sequential(*model_, config);
-  sequential.set_num_threads(1);
-  AttackEngine pooled(*model_, config);
-  pooled.set_num_threads(2);
-  const auto seq = sequential.run_batch(*clouds_);
-  const auto par = pooled.run_batch(*clouds_);
+  const AttackEngine engine(*model_, config);
+  const auto seq = engine.run_batch(*clouds_, {.threads = 1});
+  const auto par = engine.run_batch(*clouds_, {.threads = 2});
   for (size_t i = 0; i < seq.size(); ++i) {
     SCOPED_TRACE("cloud " + std::to_string(i));
     expect_bit_identical(seq[i], par[i]);
@@ -278,12 +271,9 @@ TEST_F(EngineFixture, RunSharedMatchesUniversalWrapper) {
 TEST_F(EngineFixture, RunSharedDeterministicAcrossThreadCounts) {
   AttackConfig config;
   config.steps = 4;
-  AttackEngine sequential(*model_, config);
-  sequential.set_num_threads(1);
-  AttackEngine pooled(*model_, config);
-  pooled.set_num_threads(2);
-  const SharedDeltaResult seq = sequential.run_shared(*clouds_);
-  const SharedDeltaResult par = pooled.run_shared(*clouds_);
+  const AttackEngine engine(*model_, config);
+  const SharedDeltaResult seq = engine.run_shared(*clouds_, {.threads = 1});
+  const SharedDeltaResult par = engine.run_shared(*clouds_, {.threads = 2});
   EXPECT_EQ(seq.color_delta, par.color_delta);
   EXPECT_EQ(seq.accuracy_after, par.accuracy_after);
   EXPECT_EQ(seq.steps_used, par.steps_used);
@@ -307,13 +297,13 @@ TEST_F(EngineFixture, ObserverSeesEveryStep) {
   AttackConfig config;
   config.norm = AttackNorm::kBounded;
   config.steps = 5;
-  AttackEngine engine(*model_, config);
+  const AttackEngine engine(*model_, config);
   std::vector<int> steps_seen;
-  engine.set_observer([&](const AttackProgress& p) {
+  const ExecPolicy policy{.observer = [&](const AttackProgress& p) {
     EXPECT_EQ(p.cloud_index, 0u);
     steps_seen.push_back(p.step);
-  });
-  const AttackResult result = engine.run(*cloud_);
+  }};
+  const AttackResult result = engine.run(*cloud_, policy);
   ASSERT_EQ(static_cast<int>(steps_seen.size()), result.steps_used);
   for (int s = 0; s < result.steps_used; ++s) EXPECT_EQ(steps_seen[static_cast<size_t>(s)], s);
 }

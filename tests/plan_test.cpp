@@ -195,7 +195,7 @@ TEST_P(PlanModels, BoundedReplayMatchesEager) {
   PlanCounters counters;
   const AttackResult planned = engine.run(cloud, plan_on());
   EXPECT_EQ(counters.captures(), 1u) << family_name(GetParam());
-  EXPECT_GE(counters.replays(), 3u) << family_name(GetParam());
+  EXPECT_EQ(counters.replays(), 4u) << family_name(GetParam());
   const AttackResult eager = engine.run(cloud, plan_off());
   expect_byte_identical(planned, eager);
 }
@@ -213,7 +213,7 @@ TEST_P(PlanModels, UnboundedReplayMatchesEager) {
   PlanCounters counters;
   const AttackResult planned = engine.run(cloud, plan_on());
   EXPECT_EQ(counters.captures(), 1u) << family_name(GetParam());
-  EXPECT_GE(counters.replays(), 3u) << family_name(GetParam());
+  EXPECT_EQ(counters.replays(), 4u) << family_name(GetParam());
   const AttackResult eager = engine.run(cloud, plan_off());
   expect_byte_identical(planned, eager);
 }
@@ -305,7 +305,7 @@ TEST(PlanEngine, SharedDeltaReplayMatchesEager) {
   PlanCounters counters;
   const SharedDeltaResult planned = engine.run_shared(clouds, {2, true, {}});
   EXPECT_EQ(counters.captures(), clouds.size());
-  EXPECT_GE(counters.replays(), clouds.size());
+  EXPECT_EQ(counters.replays(), 3 * clouds.size());  // steps 1-3 of each cloud
   const SharedDeltaResult eager = engine.run_shared(clouds, {1, false, {}});
   EXPECT_EQ(planned.steps_used, eager.steps_used);
   ASSERT_EQ(planned.color_delta.size(), eager.color_delta.size());
@@ -314,6 +314,66 @@ TEST(PlanEngine, SharedDeltaReplayMatchesEager) {
   }
   EXPECT_EQ(planned.accuracy_before, eager.accuracy_before);
   EXPECT_EQ(planned.accuracy_after, eager.accuracy_after);
+}
+
+// --- Restart and stop on replayed steps -----------------------------------
+
+/// Restarts at step 2 and stops at step 4: with step 0 capturing, both
+/// decisions land on replayed steps.
+class RestartThenStop final : public StopCriterion {
+ public:
+  int max_steps() const override { return 10; }
+  StepAction on_gain(int step, double /*gain*/, bool /*converged*/) override {
+    if (step == 2) return StepAction::kRestart;
+    if (step == 4) return StepAction::kStop;
+    return StepAction::kContinue;
+  }
+};
+
+/// One plan-on and one plan-off run under RestartThenStop: equal bytes,
+/// equal observer events, and exactly 1 capture + 4 replays with plans on.
+void expect_restart_and_stop_replay_like_eager(AttackNorm norm) {
+  Rng rng(29);
+  auto model = make_model(Family::kResGCN, rng);
+  const PointCloud cloud = tiny_scene();
+  AttackConfig config;
+  config.field = AttackField::kColor;
+  config.norm = norm;
+  AttackRecipe recipe;
+  recipe.make_stop = []() -> std::unique_ptr<StopCriterion> {
+    return std::make_unique<RestartThenStop>();
+  };
+  const AttackEngine engine(*model, config, recipe);
+
+  struct Event {
+    int step;
+    double gain;
+    bool operator==(const Event&) const = default;
+  };
+  std::vector<Event> planned_events, eager_events;
+  ExecPolicy on = plan_on();
+  on.observer = [&](const AttackProgress& p) { planned_events.push_back({p.step, p.gain}); };
+  ExecPolicy off = plan_off();
+  off.observer = [&](const AttackProgress& p) { eager_events.push_back({p.step, p.gain}); };
+
+  PlanCounters counters;
+  const AttackResult planned = engine.run(cloud, on);
+  EXPECT_EQ(counters.captures(), 1u);
+  EXPECT_EQ(counters.replays(), 4u);
+  EXPECT_EQ(counters.fallbacks(), 0u);
+  const AttackResult eager = engine.run(cloud, off);
+  EXPECT_EQ(planned.steps_used, 4);
+  expect_byte_identical(planned, eager);
+  ASSERT_EQ(planned_events.size(), 5u);  // steps 0-4; step 4 stops after its forward
+  EXPECT_EQ(planned_events, eager_events);
+}
+
+TEST(PlanEngine, BoundedRestartAndStopOnReplayedSteps) {
+  expect_restart_and_stop_replay_like_eager(AttackNorm::kBounded);
+}
+
+TEST(PlanEngine, UnboundedRestartAndStopOnReplayedSteps) {
+  expect_restart_and_stop_replay_like_eager(AttackNorm::kUnbounded);
 }
 
 }  // namespace

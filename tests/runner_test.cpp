@@ -6,6 +6,7 @@
 // thread counts and shard sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "pcss/obs/metrics.h"
 #include "pcss/runner/executor.h"
 #include "pcss/runner/hash.h"
 #include "pcss/runner/json.h"
@@ -48,6 +50,32 @@ class RunnerTest : public ::testing::Test {
   }
   std::string root_;
 };
+
+/// Process-global compiled-plan counter deltas around one scope.
+struct PlanCounters {
+  pcss::obs::metrics::Counter& captures = pcss::obs::metrics::counter("plan.captures");
+  pcss::obs::metrics::Counter& replays = pcss::obs::metrics::counter("plan.replays");
+  const std::uint64_t captures0 = captures.value();
+  const std::uint64_t replays0 = replays.value();
+  std::uint64_t captured() const { return captures.value() - captures0; }
+  std::uint64_t replayed() const { return replays.value() - replays0; }
+};
+
+/// Recomputes `spec` with RunOptions::plan = false and returns the
+/// document bytes. The flag must reach every engine call the spec's
+/// shards make, so the run may neither capture nor replay a plan.
+std::string json_without_plans(const ExperimentSpec& spec, TinyProvider& provider,
+                               ResultStore& store) {
+  RunOptions options = tiny_options();
+  options.plan = false;
+  options.force = true;
+  const PlanCounters counters;
+  const RunOutcome out = run_spec(spec, provider, store, options);
+  EXPECT_FALSE(out.cache_hit);
+  EXPECT_EQ(counters.captured(), 0u) << spec.name << ": plan=false still captured";
+  EXPECT_EQ(counters.replayed(), 0u) << spec.name << ": plan=false still replayed";
+  return out.json;
+}
 
 TEST(RunnerJson, RoundTripsNestedValues) {
   Json doc = Json::object();
@@ -224,6 +252,8 @@ TEST_F(RunnerTest, ForceIsByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(second.attack_steps, 0);
   EXPECT_EQ(second.json, first.json)
       << "document bytes must not depend on the worker thread count";
+  EXPECT_EQ(json_without_plans(spec, provider, store), first.json)
+      << "document bytes must not depend on RunOptions::plan";
 }
 
 TEST_F(RunnerTest, CorruptCachedDocumentIsTreatedAsAMiss) {
@@ -308,6 +338,8 @@ TEST_F(RunnerTest, SharedDeltaSpecRunsAndCaches) {
   const RunOutcome second = run_spec(spec, provider, store, options);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.json, first.json);
+  EXPECT_EQ(json_without_plans(spec, provider, store), first.json)
+      << "document bytes must not depend on RunOptions::plan";
 }
 
 TEST(RunnerRegistry, DefenseGridSpecsAreRegistered) {
@@ -400,7 +432,9 @@ TEST_F(RunnerTest, GridBytesInvariantAcrossThreadsAndShardSizes) {
 
   ResultStore store_a(root_ + "-a");
   RunOptions one = tiny_options();
+  const PlanCounters planned;
   const RunOutcome base = run_spec(spec, provider, store_a, one);
+  EXPECT_GT(planned.captured(), 0u) << "the plan-off leg below must not be vacuous";
 
   RunOptions two = tiny_options();
   two.num_threads = 2;
@@ -417,6 +451,8 @@ TEST_F(RunnerTest, GridBytesInvariantAcrossThreadsAndShardSizes) {
   EXPECT_EQ(sharded.shards_total, 3);
   EXPECT_EQ(sharded.json, base.json)
       << "defense streams must stay keyed to the global cloud index";
+  EXPECT_EQ(json_without_plans(spec, provider, store_a), base.json)
+      << "grid documents must not depend on RunOptions::plan";
 
   fs::remove_all(root_ + "-a");
   fs::remove_all(root_ + "-b");
