@@ -1,15 +1,15 @@
 #include "pcss/core/attack_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <deque>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
+#include "pcss/core/worker_pool.h"
 #include "pcss/obs/metrics.h"
 #include "pcss/obs/trace.h"
 #include "pcss/pointcloud/knn.h"
@@ -662,134 +662,11 @@ class StandardStop final : public StopCriterion {
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-/// Temporarily disables gradient accumulation into the model's
-/// parameters. Attacks only need input gradients; skipping parameter
-/// accumulation makes concurrent backward passes over one shared model
-/// race-free (and saves work).
-class ScopedParamFreeze {
- public:
-  explicit ScopedParamFreeze(SegmentationModel& model) : params_(model.parameters()) {
-    saved_.reserve(params_.size());
-    for (auto& p : params_) {
-      saved_.push_back(p.requires_grad());
-      p.set_requires_grad(false);
-    }
-  }
-  ~ScopedParamFreeze() {
-    for (size_t i = 0; i < params_.size(); ++i) params_[i].set_requires_grad(saved_[i]);
-  }
-  ScopedParamFreeze(const ScopedParamFreeze&) = delete;
-  ScopedParamFreeze& operator=(const ScopedParamFreeze&) = delete;
-
- private:
-  std::vector<Tensor> params_;
-  std::vector<bool> saved_;
-};
-
-/// Long-lived worker pool for loops that dispatch many small parallel
-/// rounds (run_shared runs one round per optimization step). Unlike
-/// parallel_for, the threads persist across rounds, so each worker's
-/// thread-local tensor buffer pool stays warm instead of being rebuilt
-/// from malloc and torn down every step. Job results are independent;
-/// scheduling affects only timing, never values.
-class WorkerPool {
- public:
-  explicit WorkerPool(int workers) {
-    for (int t = 0; t < workers - 1; ++t) {
-      threads_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~WorkerPool() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& thread : threads_) thread.join();
-  }
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  void run(std::size_t jobs, const std::function<void(std::size_t)>& fn) {
-    if (threads_.empty() || jobs <= 1) {
-      for (std::size_t i = 0; i < jobs; ++i) fn(i);
-      return;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      fn_ = &fn;
-      jobs_ = jobs;
-      next_.store(0);
-      failed_.store(false);
-      error_ = nullptr;
-      active_ = static_cast<int>(threads_.size());
-      ++generation_;
-    }
-    cv_.notify_all();
-    drain();  // the calling thread participates
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_done_.wait(lock, [this] { return active_ == 0; });
-    fn_ = nullptr;
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  void worker_loop() {
-    std::uint64_t seen_generation = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation; });
-      if (stop_) return;
-      seen_generation = generation_;
-      lock.unlock();
-      drain();
-      lock.lock();
-      if (--active_ == 0) cv_done_.notify_all();
-    }
-  }
-
-  /// Claims indices until the round is exhausted. On an exception the
-  /// first error is kept and remaining indices drain without executing.
-  void drain() {
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1);
-      if (i >= jobs_) return;
-      if (failed_.load(std::memory_order_relaxed)) continue;
-      try {
-        (*fn_)(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-        failed_.store(true, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  std::vector<std::thread> threads_;  // pcss-lint: allow(C001) — this IS the WorkerPool
-  // GUARDS: fn_, jobs_, error_, active_, generation_, stop_ (round
-  // hand-off state; next_/failed_ are atomics claimed lock-free in drain)
-  std::mutex mutex_;
-  std::condition_variable cv_, cv_done_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t jobs_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<bool> failed_{false};
-  std::exception_ptr error_;
-  int active_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-};
-
-/// Runs fn(0..jobs-1) across `workers` threads (inline when <= 1) via a
-/// one-shot WorkerPool, so there is a single work-distribution and
-/// error-propagation implementation. Deterministic for independent jobs:
-/// scheduling affects only timing.
-void parallel_for(std::size_t jobs, int workers,
-                  const std::function<void(std::size_t)>& fn) {
-  WorkerPool pool(workers);
-  pool.run(jobs, fn);
+/// Worker count for `jobs` independent jobs under a thread-count knob:
+/// never more workers than jobs.
+int worker_count(std::size_t jobs, int threads) {
+  return static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(resolve_threads(threads)),
+                                                std::max<std::size_t>(jobs, 1)));
 }
 
 /// Capture-once / replay-many execution of one repeated gradient pass (a
@@ -963,14 +840,45 @@ AttackEngine::AttackEngine(SegmentationModel& model, AttackConfig config,
   if (!recipe_.make_stop) recipe_.make_stop = std::move(defaults.make_stop);
 }
 
-int AttackEngine::worker_count(std::size_t jobs, int threads) const {
-  int workers = threads;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) workers = 1;
+namespace {
+
+/// The open ScopedParamFreeze guards of every model, process-wide.
+struct FreezeRegistry {
+  struct Entry {
+    int guards = 0;
+    std::vector<Tensor> thawed;  ///< parameters the first guard froze
+  };
+  // GUARDS: models (open-guard counts; flags change only under this lock)
+  std::mutex mutex;
+  std::map<const SegmentationModel*, Entry> models;
+};
+
+FreezeRegistry& freeze_registry() {
+  static FreezeRegistry registry;
+  return registry;
+}
+
+}  // namespace
+
+ScopedParamFreeze::ScopedParamFreeze(SegmentationModel& model) : model_(model) {
+  FreezeRegistry& registry = freeze_registry();
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  FreezeRegistry::Entry& entry = registry.models[&model];
+  if (entry.guards++ > 0) return;  // already frozen: nothing to write
+  for (Tensor& p : model.parameters()) {
+    if (!p.requires_grad()) continue;
+    p.set_requires_grad(false);
+    entry.thawed.push_back(p);
   }
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(workers), std::max<std::size_t>(jobs, 1)));
+}
+
+ScopedParamFreeze::~ScopedParamFreeze() {
+  FreezeRegistry& registry = freeze_registry();
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  const auto it = registry.models.find(&model_);
+  if (--it->second.guards > 0) return;
+  for (Tensor& p : it->second.thawed) p.set_requires_grad(true);
+  registry.models.erase(it);
 }
 
 void AttackEngine::emit(const ExecPolicy& policy, const AttackProgress& event) const {
@@ -993,10 +901,11 @@ std::vector<AttackResult> AttackEngine::run_batch(std::span<const PointCloud> cl
                                                   const ExecPolicy& policy) const {
   ScopedParamFreeze freeze(model_);
   std::vector<AttackResult> results(clouds.size());
-  parallel_for(clouds.size(), worker_count(clouds.size(), policy.threads),
-               [&](std::size_t i) {
-                 results[i] = attack_cloud(clouds[i], config_.seed + i, i, policy);
-               });
+  // The calling thread works too, so the pool needs one thread fewer.
+  WorkerPool pool(worker_count(clouds.size(), policy.threads) - 1);
+  pool.run(clouds.size(), [&](std::size_t i) {
+    results[i] = attack_cloud(clouds[i], config_.seed + i, i, policy);
+  });
   return results;
 }
 
@@ -1118,8 +1027,9 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
   ScopedParamFreeze freeze(model_);
   // One persistent pool for every per-step round: worker threads (and
   // their thread-local tensor buffer pools) live for the whole run
-  // instead of being respawned each optimization step.
-  WorkerPool pool(worker_count(clouds.size(), policy.threads));
+  // instead of being respawned each optimization step. The calling thread
+  // works too, so the pool needs one thread fewer.
+  WorkerPool pool(worker_count(clouds.size(), policy.threads) - 1);
 
   Rng rng(config_.seed);
   SharedDeltaResult result;

@@ -217,6 +217,26 @@ struct SharedDeltaResult {
   int steps_used = 0;
 };
 
+/// Clears requires_grad on every parameter of a model while any guard on
+/// that model is open. Attacks only need input gradients: frozen
+/// parameters skip the weight-gradient work and make concurrent backward
+/// passes over one shared model race-free. Guards are counted per model
+/// across threads: only the first one to open writes the flags and only
+/// the last one to close restores them, both under one lock, so guards
+/// opened inside another (every engine call inside run_spec's freeze of
+/// its models) or alongside it (two run_spec calls on one model, as
+/// pcss_serve runs them) write nothing while other threads read the flags.
+class ScopedParamFreeze {
+ public:
+  explicit ScopedParamFreeze(SegmentationModel& model);
+  ~ScopedParamFreeze();  ///< the last guard re-enables what the first froze
+  ScopedParamFreeze(const ScopedParamFreeze&) = delete;
+  ScopedParamFreeze& operator=(const ScopedParamFreeze&) = delete;
+
+ private:
+  SegmentationModel& model_;
+};
+
 /// Composable attack driver. Owns a reference to the model for its
 /// lifetime and a validated AttackConfig; assembles per-run strategies
 /// from an AttackRecipe.
@@ -226,10 +246,12 @@ struct SharedDeltaResult {
 /// so results are bit-identical regardless of thread count or scheduling
 /// (run_batch(clouds)[i] == run(clouds[i], config.seed + i)).
 ///
-/// Thread safety: during batched runs the engine freezes model-parameter
-/// gradient accumulation (attacks only need input gradients), which makes
-/// concurrent forward/backward passes over the shared model safe. The
-/// model must not be trained or mutated elsewhere while a batch runs.
+/// Thread safety: every entry point runs under a ScopedParamFreeze
+/// (attacks only need input gradients), which makes concurrent
+/// forward/backward passes over the shared model safe. Callers that run
+/// several engine calls on one model at once (run_spec's worker pool)
+/// freeze the model once around all of them, so the per-call guards write
+/// nothing. The model must not be trained or mutated elsewhere meanwhile.
 class AttackEngine {
  public:
   /// Validates `config` against the model (throws std::invalid_argument
@@ -272,7 +294,6 @@ class AttackEngine {
   AttackResult attack_cloud(const PointCloud& cloud, std::uint64_t seed,
                             std::size_t cloud_index, const ExecPolicy& policy) const;
   void emit(const ExecPolicy& policy, const AttackProgress& event) const;
-  int worker_count(std::size_t jobs, int threads) const;
 
   SegmentationModel& model_;
   AttackConfig config_;

@@ -5,12 +5,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/defense_grid.h"
+#include "pcss/core/worker_pool.h"
 #include "pcss/obs/metrics.h"
 #include "pcss/obs/trace.h"
 #include "pcss/runner/hash.h"
@@ -44,23 +50,33 @@ const std::vector<double>& shard_ms_buckets() {
   return buckets;
 }
 
-/// Telemetry plumbing for the shard loops: registry metrics plus the
-/// RunOptions::on_progress callback. Observation only — it reads loop
-/// state and copies of counters; nothing here can reach document bytes.
+/// Telemetry plumbing for the shard loops: the runner.shard span, registry
+/// metrics and the RunOptions::on_progress callback. Observation only — it
+/// reads loop state and copies of counters; nothing here can reach
+/// document bytes. Runs on the executor thread only.
 class ShardTelemetry {
  public:
   ShardTelemetry(const RunOptions& options, const WallTimer& timer, int planned_total)
       : options_(options), timer_(timer), planned_total_(planned_total) {}
 
-  /// Call after every shard (cached or computed) with the shard's wall
-  /// time and the running outcome counters.
-  void finish_shard(bool from_cache, double shard_seconds, const RunOutcome& out) {
+  /// Call after every shard (cached or computed), with the time span of
+  /// its work on the obs::trace clock — for a computed shard, from its
+  /// first cloud's start to its last cloud's end — and the running
+  /// outcome counters. Computed shards may overlap one another: their
+  /// clouds run on the worker pool, while the span is recorded here, on
+  /// the executor thread, so worker threads keep strictly nested spans.
+  void finish_shard(bool from_cache, std::int64_t start_ns, std::int64_t end_ns,
+                    const RunOutcome& out) {
+    static const obs::trace::Label kShardSpan = obs::trace::intern("runner.shard");
+    static const obs::trace::Label kCacheArg = obs::trace::intern("cache_hit");
+    obs::trace::record_complete(kShardSpan, start_ns, end_ns - start_ns, kCacheArg,
+                                from_cache ? 1 : 0);
     if (from_cache) {
       cached_.add(1);
     } else {
       computed_.add(1);
-      shard_ms_.observe(shard_seconds * 1000.0);
-      live_seconds_ += shard_seconds;
+      shard_ms_.observe(static_cast<double>(end_ns - start_ns) / 1e6);
+      live_start_ns_ = live_count_ == 0 ? start_ns : std::min(live_start_ns_, start_ns);
       ++live_count_;
     }
     ++done_;
@@ -72,11 +88,10 @@ class ShardTelemetry {
     progress.attack_steps = out.attack_steps;
     progress.wall_seconds = timer_.seconds();
     const int remaining = planned_total_ > done_ ? planned_total_ - done_ : 0;
-    if (live_count_ > 0 && remaining > 0) {
-      // Optimistic when the remaining shards replay from cache; exact
-      // when they all run live. Good enough for a heartbeat line.
-      progress.eta_seconds =
-          static_cast<double>(remaining) * (live_seconds_ / live_count_);
+    if (live_count_ > 0) {
+      progress.eta_seconds = shard_eta_seconds(
+          static_cast<double>(obs::trace::now_ns() - live_start_ns_) / 1e9, live_count_,
+          remaining);
     }
     options_.on_progress(progress);
   }
@@ -86,8 +101,8 @@ class ShardTelemetry {
   const WallTimer& timer_;
   int planned_total_;
   int done_ = 0;
-  double live_seconds_ = 0.0;
   int live_count_ = 0;
+  std::int64_t live_start_ns_ = 0;  ///< earliest start of a finished live shard
   obs::metrics::Counter& computed_ = obs::metrics::counter("runner.shards.computed");
   obs::metrics::Counter& cached_ = obs::metrics::counter("runner.shards.cached");
   obs::metrics::Histogram& shard_ms_ =
@@ -193,8 +208,6 @@ std::string grid_shard_key(const std::string& key, std::size_t offset, std::size
          std::to_string(count) + ".json";
 }
 
-/// Executes (or replays from the shard cache) the clouds [offset,
-/// offset+count) of one per-cloud variant.
 /// The per-shard engine execution policy a RunOptions selects. Pure
 /// execution knobs only (threads, plans, no observer) — nothing here can
 /// change document bytes.
@@ -202,6 +215,38 @@ ExecPolicy shard_policy(const RunOptions& options) {
   return {options.num_threads, options.plan, {}};
 }
 
+/// One attacked cloud's document row.
+CaseRow attack_row(const SegmentationModel& model, const AttackConfig& config, bool use_l0,
+                   const PointCloud& cloud, const AttackResult& result) {
+  const SegMetrics m =
+      pcss::core::evaluate_segmentation(result.predictions, cloud.labels, model.num_classes());
+  CaseRow row;
+  row.record = {pcss::core::case_distance(config, use_l0, result), m.accuracy, m.aiou};
+  row.l2_color = result.l2_color;
+  row.steps = result.steps_used;
+  return row;
+}
+
+/// One noise-baseline row: cloud g perturbed by random noise at the
+/// calibration variant's L2 for the same cloud.
+CaseRow noise_row(SegmentationModel& model, const AttackVariant& variant,
+                  const AttackConfig& config, bool use_l0, const PointCloud& cloud,
+                  std::size_t g, double calibration_l2) {
+  const AttackResult noise = pcss::core::random_noise_baseline(
+      model, cloud, calibration_l2, variant.noise_seed_base + g);
+  const SegMetrics m =
+      pcss::core::evaluate_segmentation(noise.predictions, cloud.labels, model.num_classes());
+  CaseRow row;
+  // Same distance selection as the attack rows (the noise perturbs
+  // the color field), so an L0 spec never mixes metrics in a column.
+  row.record = {pcss::core::case_distance(config, use_l0, noise), m.accuracy, m.aiou};
+  row.l2_color = noise.l2_color;
+  row.steps = 0;
+  return row;
+}
+
+/// Executes the clouds [offset, offset+count) of one per-cloud variant as
+/// one run_batch (the multi-process worker's shard unit).
 ShardData compute_attack_shard(SegmentationModel& model, const AttackConfig& config,
                                std::span<const PointCloud> clouds, std::size_t offset,
                                std::size_t count, bool use_l0, const ExecPolicy& policy) {
@@ -215,15 +260,7 @@ ShardData compute_attack_shard(SegmentationModel& model, const AttackConfig& con
   ShardData shard;
   shard.rows.reserve(count);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const PointCloud& cloud = clouds[offset + i];
-    const SegMetrics m = pcss::core::evaluate_segmentation(results[i].predictions,
-                                                           cloud.labels, model.num_classes());
-    CaseRow row;
-    row.record = {pcss::core::case_distance(config, use_l0, results[i]), m.accuracy,
-                  m.aiou};
-    row.l2_color = results[i].l2_color;
-    row.steps = results[i].steps_used;
-    shard.rows.push_back(row);
+    shard.rows.push_back(attack_row(model, config, use_l0, clouds[offset + i], results[i]));
   }
   return shard;
 }
@@ -234,20 +271,9 @@ ShardData compute_noise_shard(SegmentationModel& model, const AttackVariant& var
                               const std::vector<double>& calibration_l2) {
   ShardData shard;
   shard.rows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t g = offset + i;
-    const AttackResult noise = pcss::core::random_noise_baseline(
-        model, clouds[g], calibration_l2[g], variant.noise_seed_base + g);
-    const SegMetrics m = pcss::core::evaluate_segmentation(noise.predictions,
-                                                           clouds[g].labels,
-                                                           model.num_classes());
-    CaseRow row;
-    // Same distance selection as the attack rows (the noise perturbs
-    // the color field), so an L0 spec never mixes metrics in a column.
-    row.record = {pcss::core::case_distance(config, use_l0, noise), m.accuracy, m.aiou};
-    row.l2_color = noise.l2_color;
-    row.steps = 0;
-    shard.rows.push_back(row);
+  for (std::size_t g = offset; g < offset + count; ++g) {
+    shard.rows.push_back(
+        noise_row(model, variant, config, use_l0, clouds[g], g, calibration_l2[g]));
   }
   return shard;
 }
@@ -459,10 +485,8 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
     }
   }
 
-  // Telemetry only: one span per shard, with a cache_hit annotation so a
-  // trace distinguishes replayed shards from executed ones at a glance.
-  static const obs::trace::Label kShardSpan = obs::trace::intern("runner.shard");
-  static const obs::trace::Label kCacheArg = obs::trace::intern("cache_hit");
+  // Defense-grid shards run one after another, each as run_batch calls on
+  // the engine's own per-call pool.
   for (std::size_t offset = 0; offset < clouds.size();
        offset += static_cast<std::size_t>(shard_size)) {
     if (options.cancel && options.cancel()) throw RunCancelled(spec.name);
@@ -473,31 +497,26 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
     GridShardData shard;
     bool from_cache = false;
     const std::int64_t shard_start = obs::trace::now_ns();
-    {
-      obs::trace::ScopedSpan shard_span(kShardSpan);
-      if (!options.force) {
-        if (auto cached = store.get(shard_key)) {
-          try {
-            shard = grid_shard_from_json(Json::parse(*cached), setup.attacks.size(),
-                                         doc.grid.size());
-            from_cache = true;
-            ++out.shards_from_cache;
-          } catch (const std::exception&) {
-            shard = GridShardData{};  // unreadable shard: recompute it
-          }
+    if (!options.force) {
+      if (auto cached = store.get(shard_key)) {
+        try {
+          shard = grid_shard_from_json(Json::parse(*cached), setup.attacks.size(),
+                                       doc.grid.size());
+          from_cache = true;
+          ++out.shards_from_cache;
+        } catch (const std::exception&) {
+          shard = GridShardData{};  // unreadable shard: recompute it
         }
       }
-      if (!from_cache) {
-        shard = compute_grid_shard(setup, spec, clouds, offset, count, shard_policy(options));
-        store.put(shard_key, grid_shard_to_json(shard).dump() + "\n");
-        for (const auto& trace : shard.attacks) {
-          for (long long s : trace.steps) out.attack_steps += s;
-        }
-      }
-      shard_span.arg(kCacheArg, from_cache ? 1 : 0);
     }
-    telemetry.finish_shard(
-        from_cache, static_cast<double>(obs::trace::now_ns() - shard_start) / 1e9, out);
+    if (!from_cache) {
+      shard = compute_grid_shard(setup, spec, clouds, offset, count, shard_policy(options));
+      store.put(shard_key, grid_shard_to_json(shard).dump() + "\n");
+      for (const auto& trace : shard.attacks) {
+        for (long long s : trace.steps) out.attack_steps += s;
+      }
+    }
+    telemetry.finish_shard(from_cache, shard_start, obs::trace::now_ns(), out);
     for (std::size_t ai = 0; ai < shard.attacks.size(); ++ai) {
       doc.grid_attacks[ai].l2_color.insert(doc.grid_attacks[ai].l2_color.end(),
                                            shard.attacks[ai].l2_color.begin(),
@@ -534,7 +553,329 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Attack-table execution: one worker pool per run_spec call
+// ---------------------------------------------------------------------------
+
+/// One cache unit of an attack-table spec: the clouds [offset,
+/// offset+count) of one (model, variant), or a whole shared-delta variant.
+struct TableShard {
+  std::size_t mi = 0, vi = 0, offset = 0, count = 0;
+  std::string key;
+  ShardData data;
+  bool done = false;
+  std::size_t pending = 0;      ///< clouds still queued or running
+  std::int64_t start_ns = 0;    ///< first cloud's start (obs::trace clock)
+  std::int64_t end_ns = 0;      ///< last cloud's end
+  std::vector<std::size_t> calibrated;  ///< noise shards that read this one's L2
+};
+
+/// A finished job, handed from a worker to the executor thread.
+struct CloudDone {
+  static constexpr std::size_t kClean = static_cast<std::size_t>(-1);
+  std::size_t shard = 0;  ///< kClean for a model's clean-accuracy job
+  std::size_t index = 0;  ///< cloud position within the shard
+  CaseRow row;
+  std::int64_t start_ns = 0, end_ns = 0;
+  std::exception_ptr error;
+};
+
+/// Worker -> executor hand-off of finished jobs, first in first out.
+class CloudDoneQueue {
+ public:
+  void push(CloudDone done) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      queue_.push_back(std::move(done));
+    }
+    cv_.notify_one();
+  }
+  CloudDone pop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return !queue_.empty(); });
+    CloudDone done = std::move(queue_.front());
+    queue_.pop_front();
+    return done;
+  }
+
+ private:
+  // GUARDS: queue_ (finished clouds not yet collected by the executor)
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<CloudDone> queue_;
+};
+
+/// Index of the variant a noise baseline calibrates from: the first earlier
+/// per-cloud or noise variant with that label.
+std::size_t calibration_source(const ExperimentSpec& spec, std::size_t vi) {
+  const AttackVariant& variant = spec.variants[vi];
+  for (std::size_t i = 0; i < vi; ++i) {
+    if (spec.variants[i].kind != VariantKind::kSharedDelta &&
+        spec.variants[i].label == variant.calibrate_from) {
+      return i;
+    }
+  }
+  throw std::invalid_argument("run_spec: variant '" + variant.label + "' calibrates from '" +
+                              variant.calibrate_from +
+                              "', which is not an earlier variant of spec '" + spec.name +
+                              "'");
+}
+
+/// Executes (or replays) a kAttackTable spec into `doc`/`out`.
+///
+/// Shards stay the cache, progress and cancel unit, but not the scheduling
+/// unit: every uncached cloud of every (model, variant) is one job on a
+/// single pool of RunOptions::num_threads workers, calling
+/// AttackEngine::run(cloud, seed + g) — the RNG stream run_batch would
+/// give it — so the pool never waits at a shard barrier. Each model's
+/// clean accuracy is one more job, so this thread never predicts. A noise
+/// shard's
+/// clouds are queued once its calibration shard has finished; a
+/// shared-delta variant stays one indivisible unit, run before the queue
+/// starts. This thread stores each shard as soon as its last cloud
+/// finishes, then reports progress and polls cancel; rows land by index,
+/// so documents and shard files are byte-identical for any thread count,
+/// shard size and completion order.
+void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
+                          ResultStore& store, const RunOptions& options,
+                          const std::string& key, const std::vector<PointCloud>& clouds,
+                          int shard_size, RunDocument& doc, RunOutcome& out,
+                          ShardTelemetry& telemetry) {
+  const std::size_t variant_count = spec.variants.size();
+  std::vector<std::shared_ptr<SegmentationModel>> models;
+  for (ModelId id : spec.models) models.push_back(provider.model(id));
+  std::vector<AttackConfig> configs;
+  std::vector<std::size_t> calibration(variant_count, 0);
+  for (std::size_t vi = 0; vi < variant_count; ++vi) {
+    configs.push_back(scaled_config(spec.variants[vi], options.scale));
+    if (spec.variants[vi].kind == VariantKind::kNoiseBaseline) {
+      calibration[vi] = calibration_source(spec, vi);
+    }
+  }
+
+  // The shard plan, model-major then variant then offset. first_shard
+  // indexes a (model, variant)'s first shard; its partition is the same
+  // for every per-cloud variant, so a noise shard reads exactly one
+  // calibration shard: the same window of its source variant.
+  std::vector<TableShard> shards;
+  std::vector<std::size_t> first_shard(spec.models.size() * variant_count, 0);
+  const auto calibration_shard = [&](const TableShard& shard) {
+    return first_shard[shard.mi * variant_count + calibration[shard.vi]] +
+           shard.offset / static_cast<std::size_t>(shard_size);
+  };
+  for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
+    for (std::size_t vi = 0; vi < variant_count; ++vi) {
+      first_shard[mi * variant_count + vi] = shards.size();
+      const std::size_t stride = spec.variants[vi].kind == VariantKind::kSharedDelta
+                                     ? clouds.size()
+                                     : static_cast<std::size_t>(shard_size);
+      for (std::size_t offset = 0; offset < clouds.size(); offset += stride) {
+        TableShard shard;
+        shard.mi = mi;
+        shard.vi = vi;
+        shard.offset = offset;
+        shard.count = std::min(stride, clouds.size() - offset);
+        shard.key = table_shard_key(key, mi, vi, offset, shard.count);
+        if (spec.variants[vi].kind == VariantKind::kNoiseBaseline) {
+          shards[calibration_shard(shard)].calibrated.push_back(shards.size());
+        }
+        shards.push_back(std::move(shard));
+      }
+    }
+  }
+  out.shards_total = static_cast<int>(shards.size());
+
+  const auto poll_cancel = [&] {
+    if (options.cancel && options.cancel()) throw RunCancelled(spec.name);
+  };
+  const auto finish = [&](TableShard& shard, bool from_cache) {
+    shard.done = true;
+    const VariantKind kind = spec.variants[shard.vi].kind;
+    if (from_cache) {
+      ++out.shards_from_cache;
+    } else {
+      store.put(shard.key, shard_to_json(shard.data, kind).dump() + "\n");
+      if (kind == VariantKind::kSharedDelta) {
+        out.attack_steps += static_cast<long long>(shard.data.steps_used) *
+                            static_cast<long long>(shard.count);
+      } else {
+        for (const CaseRow& row : shard.data.rows) out.attack_steps += row.steps;
+      }
+    }
+    telemetry.finish_shard(from_cache, shard.start_ns, shard.end_ns, out);
+    poll_cancel();
+  };
+
+  poll_cancel();
+  if (!options.force) {
+    for (TableShard& shard : shards) {
+      shard.start_ns = obs::trace::now_ns();
+      const auto cached = store.get(shard.key);
+      if (!cached) continue;
+      try {
+        shard.data = shard_from_json(Json::parse(*cached), spec.variants[shard.vi].kind);
+      } catch (const std::exception&) {
+        shard.data = ShardData{};  // unreadable shard: recompute it
+        continue;
+      }
+      shard.end_ns = obs::trace::now_ns();
+      finish(shard, /*from_cache=*/true);
+    }
+  }
+
+  // Every uncached shared-delta variant runs while the queue is still
+  // idle, on run_shared's own per-round pool.
+  for (TableShard& shard : shards) {
+    if (shard.done || spec.variants[shard.vi].kind != VariantKind::kSharedDelta) continue;
+    shard.start_ns = obs::trace::now_ns();
+    shard.data = compute_shared_shard(*models[shard.mi], configs[shard.vi], clouds,
+                                      shard_policy(options));
+    shard.end_ns = obs::trace::now_ns();
+    finish(shard, /*from_cache=*/false);
+  }
+
+  // One engine per (model, per-cloud variant), built on first use and
+  // shared by that variant's jobs (AttackEngine::run is const).
+  std::vector<std::unique_ptr<AttackEngine>> engines(first_shard.size());
+  const ExecPolicy job_policy{1, options.plan, {}};
+  std::size_t live_jobs = spec.models.size();  // the clean-accuracy jobs
+  for (const TableShard& shard : shards) {
+    if (!shard.done) live_jobs += shard.count;
+  }
+  CloudDoneQueue finished;
+  // Declared after everything its jobs reference, so it is destroyed
+  // first: a cancel or a failed job unwinds through here, dropping queued
+  // jobs and waiting for running ones while what they use is still alive.
+  pcss::core::WorkerPool pool(static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(pcss::core::resolve_threads(options.num_threads)), live_jobs)));
+
+  doc.models.resize(spec.models.size());  // before any job writes a section
+  for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
+    doc.models[mi].model = to_string(spec.models[mi]);
+    pool.submit([&, mi] {
+      CloudDone done;
+      done.shard = CloudDone::kClean;
+      try {
+        const SegMetrics clean = pcss::core::clean_metrics(*models[mi], clouds);
+        doc.models[mi].clean_accuracy = clean.accuracy;
+        doc.models[mi].clean_aiou = clean.aiou;
+      } catch (...) {
+        done.error = std::current_exception();
+      }
+      finished.push(std::move(done));
+    });
+  }
+
+  const auto queue_shard = [&](std::size_t si) {
+    TableShard& shard = shards[si];
+    const AttackEngine* engine = nullptr;
+    const TableShard* source = nullptr;
+    if (spec.variants[shard.vi].kind == VariantKind::kPerCloud) {
+      auto& slot = engines[shard.mi * variant_count + shard.vi];
+      if (!slot) slot = std::make_unique<AttackEngine>(*models[shard.mi], configs[shard.vi]);
+      engine = slot.get();
+    } else {
+      source = &shards[calibration_shard(shard)];
+    }
+    shard.data.rows.resize(shard.count);
+    shard.pending = shard.count;
+    for (std::size_t i = 0; i < shard.count; ++i) {
+      pool.submit([&, si, i, engine, source] {
+        const TableShard& job = shards[si];
+        const std::size_t g = job.offset + i;
+        SegmentationModel& model = *models[job.mi];
+        const AttackConfig& config = configs[job.vi];
+        CloudDone done;
+        done.shard = si;
+        done.index = i;
+        done.start_ns = obs::trace::now_ns();
+        try {
+          if (engine != nullptr) {
+            done.row = attack_row(model, config, spec.use_l0_distance, clouds[g],
+                                  engine->run(clouds[g], config.seed + g, job_policy));
+          } else {
+            done.row = noise_row(model, spec.variants[job.vi], config, spec.use_l0_distance,
+                                 clouds[g], g, source->data.rows[i].l2_color);
+          }
+        } catch (...) {
+          done.error = std::current_exception();
+        }
+        done.end_ns = obs::trace::now_ns();
+        finished.push(std::move(done));
+      });
+    }
+  };
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    const TableShard& shard = shards[si];
+    if (!shard.done && (spec.variants[shard.vi].kind == VariantKind::kPerCloud ||
+                        shards[calibration_shard(shard)].done)) {
+      queue_shard(si);
+    }
+  }
+
+  // Telemetry only: the executor's blocked time, so a trace tells it
+  // apart from the executor's own work (pcss_trace does not count it busy).
+  static const obs::trace::Label kWaitSpan = obs::trace::intern("runner.wait");
+  for (; live_jobs > 0; --live_jobs) {
+    CloudDone done = [&] {
+      const obs::trace::ScopedSpan wait(kWaitSpan);
+      return finished.pop();
+    }();
+    if (done.error) std::rethrow_exception(done.error);
+    if (done.shard == CloudDone::kClean) continue;
+    TableShard& shard = shards[done.shard];
+    shard.data.rows[done.index] = done.row;
+    shard.start_ns =
+        shard.pending == shard.count ? done.start_ns : std::min(shard.start_ns, done.start_ns);
+    shard.end_ns = std::max(shard.end_ns, done.end_ns);
+    if (--shard.pending > 0) continue;
+    // Queue the noise shards calibrated from this one before reporting,
+    // so the workers do not wait on the progress callback.
+    for (std::size_t dependent : shard.calibrated) {
+      if (!shards[dependent].done) queue_shard(dependent);
+    }
+    finish(shard, /*from_cache=*/false);
+  }
+
+  // Assemble the document in spec order.
+  for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
+    for (std::size_t vi = 0; vi < variant_count; ++vi) {
+      VariantResult vr;
+      vr.label = spec.variants[vi].label;
+      vr.kind = spec.variants[vi].kind;
+      for (std::size_t si = first_shard[mi * variant_count + vi];
+           si < shards.size() && shards[si].mi == mi && shards[si].vi == vi; ++si) {
+        ShardData& data = shards[si].data;
+        if (vr.kind == VariantKind::kSharedDelta) {
+          vr.accuracy_before = std::move(data.accuracy_before);
+          vr.accuracy_after = std::move(data.accuracy_after);
+          vr.shared_delta_l2 = data.delta_l2;
+          vr.shared_steps = data.steps_used;
+        } else {
+          vr.cases.insert(vr.cases.end(), data.rows.begin(), data.rows.end());
+        }
+      }
+      if (vr.kind != VariantKind::kSharedDelta) {
+        std::vector<CaseRecord> records;
+        records.reserve(vr.cases.size());
+        for (const CaseRow& row : vr.cases) {
+          records.push_back(row.record);
+          vr.total_steps += row.steps;
+        }
+        vr.aggregate = pcss::core::aggregate_cases(records);
+      }
+      doc.models[mi].variants.push_back(std::move(vr));
+    }
+  }
+}
+
 }  // namespace
+
+double shard_eta_seconds(double live_seconds, int live_shards_done, int shards_remaining) {
+  if (live_shards_done <= 0 || shards_remaining <= 0) return 0.0;
+  return live_seconds / static_cast<double>(live_shards_done) *
+         static_cast<double>(shards_remaining);
+}
 
 Json document_to_json(const RunDocument& doc) {
   Json j = Json::object();
@@ -761,127 +1102,26 @@ RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
   ShardTelemetry telemetry(options, timer,
                            planned_shard_count(spec, clouds.size(), shard_size));
 
+  // Every model the spec touches is frozen once for the whole call, so the
+  // per-call freezes of the engine calls running concurrently on it find
+  // nothing to write (ScopedParamFreeze counts guards per model).
+  std::vector<std::shared_ptr<SegmentationModel>> held;
+  std::deque<pcss::core::ScopedParamFreeze> frozen;
+  for (const std::vector<ModelId>* ids : {&spec.models, &spec.victims}) {
+    for (ModelId id : *ids) {
+      held.push_back(provider.model(id));
+      frozen.emplace_back(*held.back());
+    }
+  }
+
   if (spec.kind == SpecKind::kDefenseGrid) {
     execute_defense_grid(spec, provider, store, options, key, cloud_span, shard_size, doc,
                          out, telemetry);
   }
 
-  const std::size_t attack_table_models =
-      spec.kind == SpecKind::kAttackTable ? spec.models.size() : 0;
-  for (std::size_t mi = 0; mi < attack_table_models; ++mi) {
-    const auto model = provider.model(spec.models[mi]);
-    ModelSection section;
-    section.model = to_string(spec.models[mi]);
-    const SegMetrics clean = pcss::core::clean_metrics(*model, clouds);
-    section.clean_accuracy = clean.accuracy;
-    section.clean_aiou = clean.aiou;
-
-    // Per-cloud L2 of each finished variant, for noise calibration.
-    std::map<std::string, std::vector<double>> l2_by_label;
-
-    for (std::size_t vi = 0; vi < spec.variants.size(); ++vi) {
-      const AttackVariant& variant = spec.variants[vi];
-      const AttackConfig config = scaled_config(variant, options.scale);
-      VariantResult vr;
-      vr.label = variant.label;
-      vr.kind = variant.kind;
-
-      const std::vector<double>* calibration = nullptr;
-      if (variant.kind == VariantKind::kNoiseBaseline) {
-        auto it = l2_by_label.find(variant.calibrate_from);
-        if (it == l2_by_label.end()) {
-          throw std::invalid_argument("run_spec: variant '" + variant.label +
-                                      "' calibrates from '" + variant.calibrate_from +
-                                      "', which is not an earlier variant of spec '" +
-                                      spec.name + "'");
-        }
-        calibration = &it->second;
-      }
-
-      // The shared-delta mode optimizes jointly over all clouds: one
-      // indivisible unit of work, cached as a single shard.
-      const std::size_t stride =
-          variant.kind == VariantKind::kSharedDelta ? clouds.size()
-                                                    : static_cast<std::size_t>(shard_size);
-      // Telemetry only: per-shard span with a cache_hit annotation (same
-      // labels as the grid path, so traces aggregate across spec kinds).
-      static const obs::trace::Label kShardSpan = obs::trace::intern("runner.shard");
-      static const obs::trace::Label kCacheArg = obs::trace::intern("cache_hit");
-      for (std::size_t offset = 0; offset < clouds.size(); offset += stride) {
-        if (options.cancel && options.cancel()) throw RunCancelled(spec.name);
-        const std::size_t count = std::min(stride, clouds.size() - offset);
-        const std::string shard_key = table_shard_key(key, mi, vi, offset, count);
-        ++out.shards_total;
-        ShardData shard;
-        bool from_cache = false;
-        const std::int64_t shard_start = obs::trace::now_ns();
-        {
-          obs::trace::ScopedSpan shard_span(kShardSpan);
-          if (!options.force) {
-            if (auto cached = store.get(shard_key)) {
-              try {
-                shard = shard_from_json(Json::parse(*cached), variant.kind);
-                from_cache = true;
-                ++out.shards_from_cache;
-              } catch (const std::exception&) {
-                shard = ShardData{};  // unreadable shard: recompute it
-              }
-            }
-          }
-          if (!from_cache) {
-            switch (variant.kind) {
-              case VariantKind::kPerCloud:
-                shard = compute_attack_shard(*model, config, cloud_span, offset, count,
-                                             spec.use_l0_distance, shard_policy(options));
-                break;
-              case VariantKind::kNoiseBaseline:
-                shard = compute_noise_shard(*model, variant, config, cloud_span, offset,
-                                            count, spec.use_l0_distance, *calibration);
-                break;
-              case VariantKind::kSharedDelta:
-                shard =
-                    compute_shared_shard(*model, config, cloud_span, shard_policy(options));
-                break;
-            }
-            store.put(shard_key, shard_to_json(shard, variant.kind).dump() + "\n");
-            if (variant.kind == VariantKind::kSharedDelta) {
-              out.attack_steps += static_cast<long long>(shard.steps_used) *
-                                  static_cast<long long>(count);
-            } else {
-              for (const CaseRow& row : shard.rows) out.attack_steps += row.steps;
-            }
-          }
-          shard_span.arg(kCacheArg, from_cache ? 1 : 0);
-        }
-        telemetry.finish_shard(
-            from_cache, static_cast<double>(obs::trace::now_ns() - shard_start) / 1e9,
-            out);
-        if (variant.kind == VariantKind::kSharedDelta) {
-          vr.accuracy_before = std::move(shard.accuracy_before);
-          vr.accuracy_after = std::move(shard.accuracy_after);
-          vr.shared_delta_l2 = shard.delta_l2;
-          vr.shared_steps = shard.steps_used;
-        } else {
-          vr.cases.insert(vr.cases.end(), shard.rows.begin(), shard.rows.end());
-        }
-      }
-
-      if (variant.kind != VariantKind::kSharedDelta) {
-        std::vector<CaseRecord> records;
-        std::vector<double> l2s;
-        records.reserve(vr.cases.size());
-        l2s.reserve(vr.cases.size());
-        for (const CaseRow& row : vr.cases) {
-          records.push_back(row.record);
-          l2s.push_back(row.l2_color);
-          vr.total_steps += row.steps;
-        }
-        vr.aggregate = pcss::core::aggregate_cases(records);
-        l2_by_label.emplace(vr.label, std::move(l2s));
-      }
-      section.variants.push_back(std::move(vr));
-    }
-    doc.models.push_back(std::move(section));
+  if (spec.kind == SpecKind::kAttackTable) {
+    execute_attack_table(spec, provider, store, options, key, clouds, shard_size, doc, out,
+                         telemetry);
   }
 
   out.document = std::move(doc);

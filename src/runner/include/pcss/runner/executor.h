@@ -23,9 +23,17 @@ struct ShardProgress {
   int shards_from_cache = 0;   ///< of shards_done, how many replayed
   long long attack_steps = 0;  ///< optimization steps executed live so far
   double wall_seconds = 0.0;   ///< elapsed since run_spec started
-  double eta_seconds = 0.0;    ///< remaining x mean live-shard wall; 0 until
-                               ///< the first live shard finishes
+  double eta_seconds = 0.0;    ///< shard_eta_seconds over the live shards; 0
+                               ///< until the first live shard finishes
 };
+
+/// Remaining-time estimate from live throughput: `live_seconds` of wall
+/// time (from the first live shard's start) finished `live_shards_done`
+/// shards, so the `shards_remaining` others take that long per shard done.
+/// Shards run concurrently, so this is not remaining x mean shard wall
+/// time, which would count every overlapping shard's time in full.
+/// Returns 0 when no live shard has finished or nothing remains.
+double shard_eta_seconds(double live_seconds, int live_shards_done, int shards_remaining);
 
 /// Knobs for one run_spec invocation. None of them may change the
 /// numbers: `scale` is part of the cache key, and thread count / shard
@@ -40,7 +48,7 @@ struct RunOptions {
   Scale scale = active_scale();
   bool fast = fast_mode();  ///< informational; recorded in the .perf.json sidecar
   bool force = false;       ///< recompute, ignoring document and shard caches
-  int num_threads = 0;      ///< AttackEngine workers per shard; 0 = hardware
+  int num_threads = 0;      ///< workers per run_spec call; 0 = hardware
   int shard_size = 4;       ///< clouds per cached shard (min 1)
 
   /// Compiled-plan capture/replay inside the attack loop (plan.h).
@@ -235,18 +243,24 @@ void print_grid_matrix(const RunDocument& doc);
 ///
 ///   1. key = hash(spec, scaled configs, scale, scene seed, weights);
 ///   2. document cache hit and !force -> parse and return, zero work;
-///   3. otherwise execute per (model, variant) in shards of
-///      `shard_size` clouds over AttackEngine::run_batch, consulting the
-///      shard cache before each shard (an interrupted run resumes where
-///      it stopped) and persisting each freshly computed shard;
+///   3. otherwise partition every (model, variant) into shards of
+///      `shard_size` clouds, replay the shards the store already holds
+///      (an interrupted run resumes where it stopped), and compute the
+///      rest. Attack tables queue every uncached cloud as one job on a
+///      single pool of `num_threads` workers (AttackEngine::run with
+///      seed + g); a noise baseline's clouds join the queue once their
+///      calibration shard is done, and a shared-delta variant runs as one
+///      unit before the queue starts. Defense grids compute one shard at
+///      a time over run_batch. Each shard is stored as soon as its last
+///      cloud finishes: shards are the cache, progress and cancel unit,
+///      not the scheduling unit;
 ///   4. assemble, aggregate, and atomically store "<key>.json" plus a
 ///      "<key>.perf.json" sidecar (wall-clock, steps/s, shard counts).
 ///
-/// Determinism: shard `[o, o+n)` runs with config.seed offset by `o`, so
-/// cloud `g`'s RNG stream is `seed + g` under every partitioning, and
-/// run_batch is bit-identical for any worker count — hence the stored
-/// document is byte-identical for any (shard_size, num_threads, resume
-/// point) combination.
+/// Determinism: cloud `g`'s RNG stream is `seed + g` under every
+/// partitioning and schedule, and each cloud's row lands at its index —
+/// hence the stored document and shard files are byte-identical for any
+/// (shard_size, num_threads, resume point) combination.
 RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
                     ResultStore& store, const RunOptions& options = {});
 

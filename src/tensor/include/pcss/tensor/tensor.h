@@ -57,7 +57,7 @@ struct BackwardCtx {
 /// dispatch record linking it to its parents in the autograd graph.
 struct TensorImpl {
   FloatBuffer data;  ///< pooled, 32-byte aligned (see pool.h)
-  FloatBuffer grad;  ///< empty until touched by backward()
+  FloatBuffer grad;  ///< empty until touched by backward(); see Tensor::backward
   Shape shape;
   bool requires_grad = false;
   std::vector<TensorImplPtr> parents;
@@ -131,16 +131,20 @@ class Tensor {
   float at(std::int64_t i) const;
 
   // -- Autograd ------------------------------------------------------------
-  /// Gradient buffer (empty vector if backward never reached this node).
+  /// Gradient buffer: empty if backward never reached this node, and empty
+  /// again for interior nodes once backward has used it.
   const FloatBuffer& grad() const;
   FloatBuffer& grad_ref();
   void zero_grad();
-  /// Reverse-mode accumulation from this (scalar) tensor. After the
-  /// traversal the graph is released (PyTorch's retain_graph=false):
-  /// every visited node drops its parent edges and backward state, so
-  /// intermediate buffers return to the pool as soon as the last handle
-  /// dies. Calling backward() twice on the same graph is unsupported;
-  /// rebuild the graph (define-by-run) instead.
+  /// Reverse-mode accumulation from this (scalar) tensor. An interior
+  /// node's gradient (a node with a backward rule, other than this root)
+  /// lives only from the first rule that writes it to the node's own rule,
+  /// and returns to the pool right after; leaves keep their gradients.
+  /// After the traversal the graph is released (PyTorch's
+  /// retain_graph=false): every visited node drops its parent edges and
+  /// backward state, so intermediate buffers return to the pool as soon as
+  /// the last handle dies. Calling backward() twice on the same graph is
+  /// unsupported; rebuild the graph (define-by-run) instead.
   void backward();
 
   /// Copy of the data with no autograd history.

@@ -218,19 +218,29 @@ void Tensor::backward() {
   impl_->ensure_grad();
   impl_->grad[0] = 1.0f;
   // Post-order puts the root last; walk in reverse so every node's grad is
-  // complete before it propagates to its parents.
+  // complete before it propagates to its parents. A compiled-plan capture
+  // records each rule as it fires (see plan.h).
+  const bool capturing = plan::detail::recording();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl& node = **it;
-    if (node.backward_fn && !node.grad.empty()) node.backward_fn(node);
+    if (!node.backward_fn || node.grad.empty()) continue;
+    if (capturing) {
+      plan::detail::capture_step(node);
+    } else {
+      node.backward_fn(node);
+    }
+    // Every child that writes this interior gradient fired earlier in the
+    // walk, so it is dead now: release it before the next rule acquires.
+    // Leaves keep theirs (callers read them), and so does the root.
+    if (&node != impl_.get()) pool::release(std::move(node.grad));
   }
   // A compiled-plan capture pins the finished graph instead of releasing
-  // it: the reverse schedule just executed is exactly what the plan will
-  // replay (see plan.h).
+  // it: the schedule just executed is exactly what the plan will replay.
   if (plan::detail::capture_backward(impl_, order)) return;
   // Release the graph: parent edges and backward state are dropped for
   // every visited node. Nodes kept alive only by the graph die when
   // `order` unwinds, returning their buffers to the pool; externally-held
-  // nodes keep data and grad but no longer pin their subgraph.
+  // nodes keep data and leaf gradients but no longer pin their subgraph.
   for (auto& node : order) node->release_graph();
 }
 

@@ -350,4 +350,25 @@ TEST_F(EngineFixture, ModelParamGradsRestoredAfterRun) {
   }
 }
 
+TEST_F(EngineFixture, OverlappingParamFreezesRestoreOnlyWhenTheLastCloses) {
+  // Two guards on one model whose lifetimes overlap without nesting, as
+  // two run_spec calls of pcss_serve do: the model must stay frozen until
+  // the last guard closes, and the flags must come back exactly then.
+  const auto all_frozen = [] {
+    for (const auto& p : model_->parameters()) {
+      if (p.requires_grad()) return false;
+    }
+    return true;
+  };
+  auto first = std::make_unique<ScopedParamFreeze>(*model_);
+  EXPECT_TRUE(all_frozen());
+  auto second = std::make_unique<ScopedParamFreeze>(*model_);
+  first.reset();
+  EXPECT_TRUE(all_frozen()) << "a guard closing early must not thaw the model";
+  second.reset();
+  for (const auto& p : model_->parameters()) {
+    EXPECT_TRUE(p.requires_grad()) << "the last guard must restore the flags";
+  }
+}
+
 }  // namespace

@@ -1,6 +1,6 @@
 // D008 corpus: pool traffic inside a compiled-plan TU. Capture pins
-// every buffer a step touches, so a replay that acquires has broken the
-// allocation-free contract — both spellings must flag.
+// every buffer a step touches, so an acquire in the plan layer would add
+// pool traffic to every replay — both spellings must flag.
 #include "pcss/tensor/pool.h"
 
 namespace pool = pcss::tensor::pool;

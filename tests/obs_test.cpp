@@ -7,12 +7,17 @@
 // pcss_trace summarizer digests a real trace file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pcss/data/indoor.h"
@@ -273,6 +278,32 @@ TEST_F(TraceTest, DocumentsAreByteIdenticalWithTracingOnOrOff) {
   fs::remove_all(root + "-mt");
 }
 
+/// Runs the pcss_trace binary on `path`; returns its exit status and
+/// combined output.
+std::pair<int, std::string> run_pcss_trace(const std::string& path) {
+  const std::string cmd = std::string(PCSS_TRACE_BIN) + " " + path + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string output;
+  std::array<char, 4096> buffer;
+  while (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe) != nullptr) {
+    output += buffer.data();
+  }
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
+/// The lines of pcss_trace's report section that starts with `title`, up
+/// to the next blank line.
+std::vector<std::string> report_section(const std::string& output, const std::string& title) {
+  std::vector<std::string> lines;
+  std::istringstream in(output.substr(std::min(output.find(title), output.size())));
+  std::string line;
+  std::getline(in, line);  // the title itself
+  while (std::getline(in, line) && !line.empty()) lines.push_back(line);
+  return lines;
+}
+
 TEST_F(TraceTest, PcssTraceSummarizesARealTrace) {
   trace::clear();
   trace::set_enabled(true);
@@ -289,22 +320,109 @@ TEST_F(TraceTest, PcssTraceSummarizesARealTrace) {
   const std::string path =
       (fs::temp_directory_path() / "pcss_obs_test_trace.json").string();
   ASSERT_TRUE(trace::write_chrome_json(path));
-
-  const std::string cmd = std::string(PCSS_TRACE_BIN) + " " + path + " 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  std::array<char, 4096> buffer;
-  while (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe) != nullptr) {
-    output += buffer.data();
-  }
-  const int status = pclose(pipe);
-  EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 0) << output;
+  const auto [status, output] = run_pcss_trace(path);
+  EXPECT_EQ(status, 0) << output;
   EXPECT_NE(output.find("top spans by self-time"), std::string::npos) << output;
-  EXPECT_NE(output.find("shard timeline (3 shards)"), std::string::npos) << output;
+  EXPECT_NE(output.find("shard timeline (3 shards"), std::string::npos) << output;
   EXPECT_NE(output.find("cache"), std::string::npos) << output;
   EXPECT_NE(output.find("worker utilization"), std::string::npos) << output;
   fs::remove(path);
+}
+
+TEST_F(TraceTest, PcssTraceKeepsOverlappingShardsOutOfSelfTime) {
+  // One thread: a 2 ms root holding a 0.1 ms work span, and three shard
+  // spans recorded afterwards that overlap each other and the work span.
+  trace::clear();
+  trace::set_enabled(true);
+  static const trace::Label kRoot = trace::intern("obs_test.root");
+  static const trace::Label kWork = trace::intern("obs_test.work");
+  static const trace::Label kShard = trace::intern("runner.shard");
+  static const trace::Label kCache = trace::intern("cache_hit");
+  const std::int64_t t = trace::now_ns();
+  trace::record_complete(kWork, t + 100'000, 100'000);
+  trace::record_complete(kShard, t, 1'000'000, kCache, 0);
+  trace::record_complete(kShard, t + 500'000, 1'000'000, kCache, 0);
+  trace::record_complete(kShard, t + 600'000, 100'000, kCache, 0);
+  trace::record_complete(kRoot, t, 2'000'000);
+  trace::set_enabled(false);
+
+  const std::string path =
+      (fs::temp_directory_path() / "pcss_obs_test_overlap.json").string();
+  ASSERT_TRUE(trace::write_chrome_json(path));
+  const auto [status, output] = run_pcss_trace(path);
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("shard timeline (3 shards, at most 3 in flight)"), std::string::npos)
+      << output;
+  bool saw_root = false;
+  for (const std::string& row : report_section(output, "top spans by self-time")) {
+    std::istringstream fields(row);
+    std::string name;
+    double self_ms = 0.0;
+    fields >> name >> self_ms;
+    if (name == "obs_test.root") {
+      saw_root = true;
+      EXPECT_NEAR(self_ms, 1.9, 1e-6) << "only the work span is the root's child\n" << output;
+    }
+    if (name == "runner.shard") {
+      EXPECT_EQ(self_ms, 0.0) << output;
+    }
+  }
+  EXPECT_TRUE(saw_root) << output;
+  fs::remove(path);
+}
+
+TEST_F(TraceTest, PcssTraceReadsTheShardsOfAThreadCount4Run) {
+  // One cloud per shard on four workers: shard spans overlap and are
+  // recorded on the executor thread, after their clouds ran on workers.
+  ObsTinyProvider provider;
+  const std::string root = (fs::temp_directory_path() / "pcss_obs_test_threads4").string();
+  fs::remove_all(root);
+  pcss::runner::ResultStore store(root);
+  pcss::runner::RunOptions options = obs_tiny_options(4);
+  options.scale.scenes = 4;
+  options.shard_size = 1;
+  trace::clear();
+  trace::set_enabled(true);
+  const pcss::runner::RunOutcome out = run_spec(obs_mini_spec(), provider, store, options);
+  trace::set_enabled(false);
+  ASSERT_EQ(out.shards_total, 4);
+
+  const std::string path =
+      (fs::temp_directory_path() / "pcss_obs_test_threads4.json").string();
+  ASSERT_TRUE(trace::write_chrome_json(path));
+  std::ifstream in(path);
+  const Json doc = Json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
+  double shard_us = 0.0, cloud_us = 0.0;
+  int shards = 0;
+  for (const Json& e : doc.at("traceEvents").items()) {
+    if (e.at("name").str() == "runner.shard") {
+      ++shards;
+      shard_us += e.at("dur").number();
+    }
+    if (e.at("name").str() == "attack.cloud") cloud_us += e.at("dur").number();
+  }
+  EXPECT_EQ(shards, 4);
+  EXPECT_GE(shard_us, cloud_us) << "a shard span must cover its clouds' attacks";
+
+  const auto [status, output] = run_pcss_trace(path);
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("shard timeline (4 shards, at most "), std::string::npos) << output;
+  EXPECT_NE(output.find("straggler report"), std::string::npos) << output;
+  for (const std::string& row : report_section(output, "top spans by self-time")) {
+    std::istringstream fields(row);
+    std::string name;
+    double self_ms = 0.0;
+    fields >> name >> self_ms;
+    if (name != "span") {
+      EXPECT_GE(self_ms, 0.0) << row << "\n" << output;
+    }
+  }
+  for (const std::string& row : report_section(output, "worker utilization")) {
+    const double percent = std::stod(row.substr(row.rfind('(') + 1));
+    EXPECT_LE(percent, 100.0) << row << "\n" << output;
+  }
+  fs::remove(path);
+  fs::remove_all(root);
 }
 
 }  // namespace

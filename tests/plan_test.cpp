@@ -5,11 +5,15 @@
 // irrelevant with plans on, and the engine's gating must keep
 // plan-incompatible configurations eager. Counter deltas (plan.captures /
 // plan.replays / plan.fallbacks) prove plans actually engaged — a test
-// that silently fell back to eager would otherwise pass vacuously.
+// that silently fell back to eager would otherwise pass vacuously. The
+// GradientLifetime tests pin how long interior gradients live, in eager
+// backward and in the plan's gradient slots, and what a replay acquires.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "pcss/core/attack_engine.h"
@@ -20,6 +24,8 @@
 #include "pcss/obs/metrics.h"
 #include "pcss/tensor/ops.h"
 #include "pcss/tensor/plan.h"
+#include "pcss/tensor/pool.h"
+#include "pcss/train/model_zoo.h"
 
 using namespace pcss::core;
 using pcss::data::IndoorSceneGenerator;
@@ -375,5 +381,148 @@ TEST(PlanEngine, BoundedRestartAndStopOnReplayedSteps) {
 TEST(PlanEngine, UnboundedRestartAndStopOnReplayedSteps) {
   expect_restart_and_stop_replay_like_eager(AttackNorm::kUnbounded);
 }
+
+// --- Gradient lifetime ------------------------------------------------------
+
+TEST(GradientLifetime, EagerBackwardReleasesInteriorGradsKeepsLeaves) {
+  Tensor x = Tensor::from_data({4, 3}, std::vector<float>(12, 0.5f));
+  x.set_requires_grad(true);
+  Tensor scaled = ops::scale(x, 2.0f);
+  Tensor squared = ops::square(scaled);
+  Tensor loss = ops::sum(squared);
+  loss.backward();
+  EXPECT_TRUE(scaled.grad().empty()) << "interior grad must die after its own rule";
+  EXPECT_TRUE(squared.grad().empty()) << "interior grad must die after its own rule";
+  ASSERT_EQ(x.grad().size(), 12u) << "leaves keep their grads";
+  for (float g : x.grad()) EXPECT_EQ(g, 4.0f);  // d/dx (2x)^2 = 8x = 4 at x = 0.5
+  EXPECT_EQ(loss.grad().size(), 1u) << "the root keeps its seed";
+}
+
+TEST(GradientLifetime, PlanStatsCountGradSlots) {
+  // A chain x -> scale^L -> sum: each rule writes its parent's grad and
+  // then retires its own, so at most two interior grads are ever live and
+  // the plan needs exactly two n-float slots however long the chain is.
+  constexpr std::int64_t n = 64;
+  constexpr std::size_t chain = 6;
+  Tensor x = Tensor::from_data({n}, std::vector<float>(n, 0.25f));
+  x.set_requires_grad(true);
+
+  plan::PlanBuilder builder;
+  Tensor y = x;
+  for (std::size_t i = 0; i < chain; ++i) y = ops::scale(y, 1.5f);
+  Tensor loss = ops::sum(y);
+  loss.backward();
+  plan::CompiledPlan compiled;
+  ASSERT_TRUE(builder.finish(compiled));
+
+  const plan::PlanStats stats = compiled.stats();
+  EXPECT_EQ(stats.grad_slots, 2u);
+  EXPECT_EQ(stats.backward_ops, chain + 1);
+  EXPECT_EQ(stats.grad_buffers, 2u + chain);  // x and the root, plus one bind per link
+  // Pinned: every node's value (x, the chain, the scalar root), the x and
+  // root gradients, and the two slots. Per-node interior gradients would
+  // have added chain * n more.
+  const std::size_t values = n + chain * n + 1;
+  EXPECT_EQ(stats.arena_floats, values + (n + 1) + 2 * n);
+
+  const std::vector<float> eager_grad(x.grad().begin(), x.grad().end());
+  compiled.replay_forward();
+  compiled.replay_backward();
+  EXPECT_EQ(std::vector<float>(x.grad().begin(), x.grad().end()), eager_grad);
+  EXPECT_TRUE(y.grad().empty()) << "a replay retires interior grads like eager backward";
+}
+
+/// One untrained zoo architecture: the model shape the runner attacks,
+/// with the scene size its zoo trains and evaluates on.
+struct ZooArch {
+  const char* name;
+  std::function<std::unique_ptr<SegmentationModel>(Rng&)> make;
+  bool outdoor;
+  std::uint64_t acquires_per_replay;  ///< gemm_a_bt's packed W^T scratch
+};
+
+class GradientLifetimeZoo : public ::testing::TestWithParam<ZooArch> {};
+
+TEST_P(GradientLifetimeZoo, ReplayAcquiresOnlyPackedTransposeScratch) {
+  // Interior gradients come from the plan's slots, so a replay acquires no
+  // more than the ops it runs do themselves: gemm_a_bt packs the frozen
+  // weight's transpose into a pooled buffer on every call (a known cost).
+  const ZooArch& arch = GetParam();
+  Rng rng(41);
+  std::unique_ptr<SegmentationModel> model = arch.make(rng);
+  Rng scene_rng(43);
+  const PointCloud cloud =
+      arch.outdoor
+          ? pcss::data::OutdoorSceneGenerator(pcss::train::zoo_outdoor_config())
+                .generate(scene_rng)
+          : IndoorSceneGenerator(pcss::train::zoo_indoor_config()).generate(scene_rng);
+  const ScopedParamFreeze frozen(*model);
+  AttackConfig config;
+  config.field = AttackField::kColor;
+  config.norm = AttackNorm::kBounded;
+  const std::vector<std::uint8_t> mask(static_cast<std::size_t>(cloud.size()), 1);
+  auto objective = make_degradation_objective(config.success_accuracy);
+  auto projection = make_clip_projection(config);
+  Rng init(17);
+  projection->init(cloud, mask, init);
+
+  plan::CompiledPlan compiled;
+  {
+    plan::PlanBuilder builder;
+    const FieldDeltas deltas = projection->make_deltas();
+    const Tensor logits =
+        model->forward({&cloud, deltas.color, deltas.coord}, /*training=*/false);
+    projection->total_loss(objective->loss(logits, cloud, mask)).backward();
+    ASSERT_TRUE(builder.finish(compiled)) << arch.name;
+  }
+  EXPECT_GT(compiled.stats().grad_slots, 0u) << arch.name;
+  const auto acquires = [] {
+    std::uint64_t total = 0;
+    for (const auto& slot : pcss::tensor::pool::slot_stats()) total += slot.acquires;
+    return total;
+  };
+  constexpr std::uint64_t kReplays = 5;
+  const std::uint64_t before = acquires();
+  for (std::uint64_t r = 0; r < kReplays; ++r) {
+    (void)projection->make_deltas();
+    compiled.replay_forward();
+    compiled.replay_backward();
+  }
+  EXPECT_EQ((acquires() - before) / kReplays, arch.acquires_per_replay) << arch.name;
+  EXPECT_EQ((acquires() - before) % kReplays, 0u) << arch.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, GradientLifetimeZoo,
+    ::testing::Values(
+        ZooArch{"PointNet2Indoor",
+                [](Rng& r) -> std::unique_ptr<SegmentationModel> {
+                  pcss::models::PointNet2Config c;
+                  c.num_classes = pcss::data::kIndoorNumClasses;
+                  return std::make_unique<pcss::models::PointNet2Seg>(c, r);
+                },
+                false, 10},
+        ZooArch{"ResGCNIndoor",
+                [](Rng& r) -> std::unique_ptr<SegmentationModel> {
+                  pcss::models::ResGCNConfig c;
+                  c.num_classes = pcss::data::kIndoorNumClasses;
+                  return std::make_unique<pcss::models::ResGCNSeg>(c, r);
+                },
+                false, 8},
+        ZooArch{"RandLAIndoor",
+                [](Rng& r) -> std::unique_ptr<SegmentationModel> {
+                  pcss::models::RandLANetConfig c;
+                  c.num_classes = pcss::data::kIndoorNumClasses;
+                  return std::make_unique<pcss::models::RandLANetSeg>(c, r);
+                },
+                false, 20},
+        ZooArch{"RandLAOutdoor",
+                [](Rng& r) -> std::unique_ptr<SegmentationModel> {
+                  pcss::models::RandLANetConfig c;
+                  c.num_classes = pcss::data::kOutdoorNumClasses;
+                  return std::make_unique<pcss::models::RandLANetSeg>(c, r);
+                },
+                true, 20}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "pcss/core/worker_pool.h"
 #include "pcss/obs/metrics.h"
 #include "pcss/runner/executor.h"
 #include "pcss/runner/hash.h"
@@ -518,6 +519,144 @@ TEST_F(RunnerTest, DocumentSurvivesJsonRoundTrip) {
   const RunOutcome out = run_spec(mini_spec(), provider, store, tiny_options());
   const RunDocument reparsed = document_from_json(Json::parse(out.json));
   EXPECT_EQ(document_to_json(reparsed).dump() + "\n", out.json);
+}
+
+/// Table III's shape on the tiny provider: three models (all one tiny
+/// network here), an unbounded attack, a noise baseline calibrated from
+/// it, and a bounded attack.
+ExperimentSpec mini_table3_spec() {
+  ExperimentSpec spec;
+  spec.name = "mini_table3";
+  spec.title = "table3-shaped executor fixture";
+  spec.models = {ModelId::kPointNet2Indoor, ModelId::kResGCNIndoor, ModelId::kRandLAIndoor};
+  spec.scene_seed = 4343;
+  AttackVariant unbounded;
+  unbounded.label = "norm-unbounded";
+  unbounded.config.norm = pcss::core::AttackNorm::kUnbounded;
+  unbounded.config.field = pcss::core::AttackField::kColor;
+  spec.variants.push_back(unbounded);
+  AttackVariant noise;
+  noise.label = "noise";
+  noise.kind = VariantKind::kNoiseBaseline;
+  noise.calibrate_from = "norm-unbounded";
+  noise.noise_seed_base = 7000;
+  spec.variants.push_back(noise);
+  AttackVariant bounded;
+  bounded.label = "norm-bounded";
+  bounded.config.norm = pcss::core::AttackNorm::kBounded;
+  bounded.config.field = pcss::core::AttackField::kColor;
+  spec.variants.push_back(bounded);
+  return spec;
+}
+
+RunOptions table3_options(int threads, int shard_size) {
+  RunOptions options = tiny_options();
+  options.scale.scenes = 5;  // shard_size 4 leaves a short tail shard
+  options.num_threads = threads;
+  options.shard_size = shard_size;
+  options.force = true;
+  return options;
+}
+
+/// Every stored shard of `spec_name`, key -> bytes.
+std::map<std::string, std::string> shard_files(ResultStore& store,
+                                               const std::string& spec_name) {
+  std::map<std::string, std::string> files;
+  for (const std::string& key : store.list(spec_name)) {
+    if (key.rfind("shards/", 0) == 0) files[key] = *store.get(key);
+  }
+  return files;
+}
+
+TEST_F(RunnerTest, Table3ShapeBytesIdenticalAcrossThreadCountsAndShardSizes) {
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_table3_spec();
+  std::string reference;
+  for (int shard_size : {1, 4}) {
+    std::map<std::string, std::string> reference_shards;
+    for (int threads : {1, 2, 4}) {
+      const std::string root =
+          root_ + "-s" + std::to_string(shard_size) + "-t" + std::to_string(threads);
+      ResultStore store(root);
+      const RunOutcome out = run_spec(spec, provider, store, table3_options(threads, shard_size));
+      const std::string label =
+          "threads=" + std::to_string(threads) + " shard_size=" + std::to_string(shard_size);
+      EXPECT_FALSE(out.cache_hit) << label;
+      EXPECT_EQ(out.shards_total, shard_size == 1 ? 45 : 18) << label;  // 3 x 3 x ceil(5/s)
+      if (reference.empty()) reference = out.json;
+      EXPECT_EQ(out.json, reference) << label;
+      const auto files = shard_files(store, spec.name);
+      EXPECT_EQ(files.size(), static_cast<std::size_t>(out.shards_total)) << label;
+      if (reference_shards.empty()) reference_shards = files;
+      EXPECT_EQ(files, reference_shards) << label;
+      fs::remove_all(root);
+    }
+  }
+}
+
+TEST_F(RunnerTest, Table3ShapeCancelledAtShardBoundaryResumesToSameBytes) {
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_table3_spec();
+  ResultStore ref_store(root_ + "-ref");
+  const RunOutcome ref = run_spec(spec, provider, ref_store, table3_options(1, 1));
+
+  ResultStore store(root_);
+  RunOptions cancelling = table3_options(4, 1);
+  int polls = 0;
+  // Cancel at the fourth shard boundary (the first poll precedes any
+  // work), with four workers mid-flight on other shards.
+  cancelling.cancel = [&polls] { return ++polls > 4; };
+  EXPECT_THROW(run_spec(spec, provider, store, cancelling), RunCancelled);
+  EXPECT_EQ(shard_files(store, spec.name).size(), 4u)
+      << "exactly the shards finished before the cancel are stored";
+
+  RunOptions resume = table3_options(2, 1);
+  resume.force = false;
+  const RunOutcome resumed = run_spec(spec, provider, store, resume);
+  EXPECT_FALSE(resumed.cache_hit);
+  EXPECT_EQ(resumed.shards_from_cache, 4);
+  EXPECT_EQ(resumed.json, ref.json);
+  EXPECT_EQ(shard_files(store, spec.name), shard_files(ref_store, spec.name));
+
+  fs::remove_all(root_ + "-ref");
+}
+
+TEST(RunnerEta, ExtrapolatesLiveThroughputNotSummedShardTime) {
+  // Four shards in flight, all finished after 10 s of live wall time:
+  // the other four take about 10 s more, not 4 x 10 s.
+  EXPECT_DOUBLE_EQ(shard_eta_seconds(10.0, 4, 4), 10.0);
+  EXPECT_DOUBLE_EQ(shard_eta_seconds(6.0, 3, 1), 2.0);
+  EXPECT_DOUBLE_EQ(shard_eta_seconds(6.0, 3, 0), 0.0);
+  EXPECT_DOUBLE_EQ(shard_eta_seconds(6.0, 0, 5), 0.0) << "no live shard finished yet";
+}
+
+TEST_F(RunnerTest, TwoRunSpecsOnOneModelAtOnceAtThreadCount2) {
+  // pcss_serve runs requests concurrently over shared models; here two
+  // specs run at once over the tiny provider's single model. Each call's
+  // model freeze must not thaw the model under the other call's workers
+  // (the thread sanitizer job checks the flags are never written while
+  // read), and both documents must keep their one-at-a-time bytes.
+  TinyProvider provider;
+  const ExperimentSpec specs[] = {mini_spec(), mini_table3_spec()};
+  std::string alone[2];
+  for (int i = 0; i < 2; ++i) {
+    ResultStore store(root_ + "-alone" + std::to_string(i));
+    alone[i] = run_spec(specs[i], provider, store, table3_options(1, 2)).json;
+  }
+  std::string together[2];
+  pcss::core::WorkerPool callers(1);  // the second call runs on this thread
+  callers.run(2, [&](std::size_t i) {
+    ResultStore store(root_ + "-together" + std::to_string(i));
+    together[i] = run_spec(specs[i], provider, store, table3_options(2, 2)).json;
+  });
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(together[i], alone[i]) << specs[i].name;
+    fs::remove_all(root_ + "-alone" + std::to_string(i));
+    fs::remove_all(root_ + "-together" + std::to_string(i));
+  }
+  for (const auto& p : provider.model(ModelId::kResGCNIndoor)->parameters()) {
+    EXPECT_TRUE(p.requires_grad()) << "the last run_spec must restore the flags";
+  }
 }
 
 }  // namespace

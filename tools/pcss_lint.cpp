@@ -81,7 +81,8 @@ const Rule kRules[] = {
      "transport over the runner and the dependency arrow is one-way"},
     {"D008", "src/tensor/plan.{h,cpp}",
      "no pool::acquire/acquire_zeroed in compiled-plan TUs: capture pins every "
-     "buffer up front, so replay must be allocation-free by construction"},
+     "value buffer and the plan's slots serve interior gradients, so the plan "
+     "layer adds no pool traffic to a replay"},
     {"C001", "everywhere",
      "no direct std::thread construction outside the WorkerPool: ad-hoc "
      "threads bypass pool reuse, error propagation and shutdown"},
@@ -498,9 +499,9 @@ FileReport lint_file(const fs::path& filepath) {
       }
     }
 
-    // D008 — pool traffic in compiled-plan TUs. The plan layer's whole
-    // contract is that capture pins every buffer and replay reuses them;
-    // any acquire here would mean replays allocate. has_token's right
+    // D008 — pool traffic in compiled-plan TUs. Capture pins every value
+    // buffer and the plan's own slots serve interior gradients; an acquire
+    // here would add pool traffic to every replay. has_token's right
     // boundary rejects '_', so both spellings are checked explicitly.
     if (d008_scope) {
       for (const char* tok : {"acquire", "acquire_zeroed"}) {
@@ -508,7 +509,7 @@ FileReport lint_file(const fs::path& filepath) {
           emit(ln, "D008",
                std::string("'") + tok +
                    "' in a compiled-plan TU (capture pins every buffer; "
-                   "replay must stay allocation-free)");
+                   "the plan layer must add no pool traffic to a replay)");
           break;
         }
       }
@@ -525,7 +526,7 @@ FileReport lint_file(const fs::path& filepath) {
           emit(static_cast<int>(n), "C001",
                std::string(tok) +
                    " outside the WorkerPool (route parallel work through "
-                   "parallel_for/WorkerPool)");
+                   "pcss/core/worker_pool.h)");
           break;
         }
         pos = line.find(tok, pos + 1);

@@ -76,7 +76,7 @@ int usage(int code) {
                "run options:\n"
                "  --fast              CPU-smoke sizing (same as PCSS_FAST=1)\n"
                "  --force             recompute, ignoring document and shard caches\n"
-               "  --threads N         AttackEngine worker threads (0 = hardware)\n"
+               "  --threads N         worker threads per spec run (0 = hardware)\n"
                "  --shard-size N      clouds per cached shard (default 4)\n"
                "  --no-plan           disable compiled-plan replay in the attack loop\n"
                "                      (pure execution knob: bytes and cache keys are\n"

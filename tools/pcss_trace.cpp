@@ -7,10 +7,18 @@
 //   * top spans by total self-time (dur minus direct children), the
 //     first place to look when a run is slower than expected;
 //   * the per-shard timeline (runner.shard spans with their cache_hit
-//     annotation), which shows resume points and cache behavior;
+//     annotation), which shows resume points, cache behavior and how many
+//     shards were in flight at once;
 //   * a straggler report: live shards whose wall time exceeds
 //     max(1.5 x median, mean + 2 sigma) of the live-shard distribution;
 //   * per-thread utilization (busy fraction of the trace's wall span).
+//
+// runner.shard spans overlap: run_spec runs many shards' clouds on its
+// worker pool at once and records each shard's span (first cloud's start
+// to last cloud's end) afterwards on the executor thread. They are
+// therefore kept out of the self-time nesting, which assumes each
+// thread's spans nest, and the executor's runner.wait spans (blocked on
+// its workers) do not count as busy time.
 //
 // Reads only the trace sidecar — result documents are never involved
 // (telemetry stays strictly out of the document/cache path).
@@ -70,10 +78,15 @@ std::vector<Span> load_spans(const std::string& path) {
   return spans;
 }
 
+/// Shard spans are recorded after the fact and overlap each other and the
+/// executor thread's other spans, so they take no part in nesting.
+bool is_overlay(const Span& s) { return s.name == "runner.shard"; }
+
 /// Self-time: walk each thread's spans in start order with a stack of
 /// open spans; a span's duration is charged to its innermost enclosing
-/// span as child time. Complete events nest properly per thread (they
-/// come from RAII scopes), so containment == parenthood.
+/// span as child time. Complete events from RAII scopes nest properly per
+/// thread, so containment == parenthood; overlay spans get no self-time
+/// and never enclose anything.
 void compute_self_times(std::vector<Span>& spans) {
   std::vector<std::size_t> order(spans.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -82,11 +95,12 @@ void compute_self_times(std::vector<Span>& spans) {
     if (spans[a].ts != spans[b].ts) return spans[a].ts < spans[b].ts;
     return spans[a].dur > spans[b].dur;  // parents before equal-start children
   });
-  for (auto& s : spans) s.self = s.dur;
+  for (auto& s : spans) s.self = is_overlay(s) ? 0.0 : s.dur;
   std::vector<std::size_t> stack;
   long long current_tid = -1;
   for (std::size_t idx : order) {
     const Span& s = spans[idx];
+    if (is_overlay(s)) continue;
     if (s.tid != current_tid) {
       stack.clear();
       current_tid = s.tid;
@@ -144,20 +158,31 @@ void print_shard_timeline(const std::vector<Span>& spans) {
                 "enabled mid-run)\n");
     return;
   }
-  std::printf("\nshard timeline (%zu shards)\n", shards.size());
-  std::printf("  %-6s %5s %12s %12s %s\n", "shard", "tid", "start(ms)", "wall(ms)",
-              "source");
+  // In flight at a shard's start: the shards whose spans cover that
+  // instant, itself included (1 = the shard ran alone).
+  std::vector<int> in_flight(shards.size(), 0);
+  int peak = 0;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (shards[j]->ts + shards[j]->dur > shards[i]->ts || j == i) ++in_flight[i];
+    }
+    peak = std::max(peak, in_flight[i]);
+  }
+  std::printf("\nshard timeline (%zu shards, at most %d in flight)\n", shards.size(), peak);
+  std::printf("  %-6s %5s %12s %12s %12s %9s %s\n", "shard", "tid", "start(ms)", "end(ms)",
+              "wall(ms)", "in-flight", "source");
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Span& s = *shards[i];
     const char* source = s.cache_hit == 1   ? "cache"
                          : s.cache_hit == 0 ? "computed"
                                             : "?";
-    std::printf("  %-6zu %5lld %12.2f %12.2f %s\n", i, s.tid, s.ts / 1000.0,
-                s.dur / 1000.0, source);
+    std::printf("  %-6zu %5lld %12.2f %12.2f %12.2f %9d %s\n", i, s.tid, s.ts / 1000.0,
+                (s.ts + s.dur) / 1000.0, s.dur / 1000.0, in_flight[i], source);
   }
 
   // Straggler report over *live* shards only: cached replays are
-  // microseconds and would drag the median to nothing.
+  // microseconds and would drag the median to nothing. Overlap does not
+  // matter here: each shard is judged by its own span.
   std::vector<double> live;
   for (const Span* s : shards) {
     if (s->cache_hit != 1) live.push_back(s->dur);
@@ -197,9 +222,12 @@ void print_utilization(const std::vector<Span>& spans) {
   const double wall = t1 - t0;
   if (wall <= 0.0) return;
   // Busy time per thread = sum of self-times (self never double-counts
-  // nested spans, so the fraction stays <= 1 without interval merging).
+  // nested spans, so the fraction stays <= 1 without interval merging),
+  // minus the time the executor spent blocked on its workers.
   std::map<long long, double> busy;
-  for (const Span& s : spans) busy[s.tid] += s.self;
+  for (const Span& s : spans) {
+    busy[s.tid] += s.name == "runner.wait" ? 0.0 : s.self;
+  }
   std::printf("\nworker utilization (%.2fms traced wall)\n", wall / 1000.0);
   for (const auto& [tid, us] : busy) {
     std::printf("  tid %-4lld busy %10.2fms  (%5.1f%%)\n", tid, us / 1000.0,
