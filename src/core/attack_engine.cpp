@@ -16,6 +16,7 @@
 #include "pcss/tensor/ops.h"
 #include "pcss/tensor/optim.h"
 #include "pcss/tensor/plan.h"
+#include "pcss/tensor/pool.h"
 #include "pcss/tensor/simd.h"
 
 namespace pcss::core {
@@ -1025,6 +1026,7 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
     }
   }
   ScopedParamFreeze freeze(model_);
+  const std::size_t cached_at_entry = tensor::pool::stats().cached_floats;
   // One persistent pool for every per-step round: worker threads (and
   // their thread-local tensor buffer pools) live for the whole run
   // instead of being respawned each optimization step. The calling thread
@@ -1131,6 +1133,13 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
     result.accuracy_after[ci] =
         evaluate_segmentation(pred, clouds[ci].labels, model_.num_classes()).accuracy;
   });
+  // The plans and leaf grads were allocated on whichever threads ran their
+  // clouds. Destroyed here, their buffers park in this thread's pool, which
+  // does not reuse them (the workers' pools die with the workers), so free
+  // whatever this call added to it.
+  plans.clear();
+  deltas.clear();
+  tensor::pool::trim(cached_at_entry);
   return result;
 }
 

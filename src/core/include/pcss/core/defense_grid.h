@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,14 +76,56 @@ struct DefenseGridOptions {
   /// attack RNG (config.seed + global index) and defense streams are
   /// invariant under any partitioning of the cloud list.
   std::size_t cloud_index_base = 0;
-  /// Engine execution policy for the attack columns (threads, plans).
+  /// How to run the grid's jobs: `threads` of them at once (the calling
+  /// thread is one; 0 = hardware), and whether attacks may compile plans.
+  /// Each job attacks on one thread. The observer is not used.
   ExecPolicy policy;
 };
 
-/// Runs every non-clean attack column once on `source` (batched, RNG
-/// stream seed + global cloud index), applies every defense once per
-/// (attack, cloud), and scores every victim on the shared defended
-/// clouds. Deterministic: the result is a pure function of the inputs,
+/// A grid's columns and scoring, validated once, with one AttackEngine
+/// per attack column. The scheduling unit is one (attack column, cloud)
+/// job: run_job() attacks the cloud, then applies every defense to it
+/// once and lets every victim predict each defended cloud. The spans and
+/// models passed in must outlive the grid, and the source and victims
+/// must stay frozen (ScopedParamFreeze) while jobs run.
+class DefenseGrid {
+ public:
+  /// Throws std::invalid_argument for an empty victim, attack or defense
+  /// list, a null victim, or an attack config the source rejects.
+  DefenseGrid(SegmentationModel& source, std::span<const GridVictim> victims,
+              std::span<const GridAttack> attacks, std::span<const GridDefense> defenses,
+              std::uint64_t defense_seed);
+
+  std::size_t attack_count() const { return attacks_.size(); }
+
+  /// An empty result for `clouds` clouds: labelled cells and traces whose
+  /// per-cloud vectors are sized, so that jobs can write their slots.
+  DefenseGridResult blank_result(std::size_t clouds) const;
+
+  /// One job: attacks `cloud` with column `attack` on RNG stream
+  /// config.seed + g on the calling thread (a clean column skips the
+  /// attack), applies every defense with defense_cell_seed at global
+  /// index g, and scores every victim on the defended clouds. Writes only
+  /// slot `slot` of the column's trace and cells in `out`, so jobs of
+  /// distinct (attack, slot) pairs may run concurrently on one result.
+  void run_job(std::size_t attack, const PointCloud& cloud, std::size_t g, bool plan,
+               DefenseGridResult& out, std::size_t slot) const;
+
+ private:
+  std::span<const GridVictim> victims_;
+  std::span<const GridAttack> attacks_;
+  std::span<const GridDefense> defenses_;
+  std::uint64_t defense_seed_;
+  std::vector<std::unique_ptr<AttackEngine>> engines_;  ///< null for a clean column
+  std::vector<std::string> describes_;                  ///< per defense
+};
+
+/// Runs every (attack column, cloud) job of the grid on a WorkerPool of
+/// options.policy.threads workers: each non-clean column attacks each
+/// cloud once on `source` (RNG stream seed + global cloud index), every
+/// defense applies once per (attack, cloud), and every victim scores the
+/// shared defended clouds. Freezes the source and every victim around the
+/// call. Deterministic: the result is a pure function of the inputs,
 /// seeds, and cloud_index_base for any thread count.
 DefenseGridResult evaluate_defense_grid(SegmentationModel& source,
                                         std::span<const GridVictim> victims,

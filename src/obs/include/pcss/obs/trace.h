@@ -51,11 +51,13 @@ const std::string& label_name(Label label);
 /// layers ever see — and only as opaque pre-taken timestamps.
 std::int64_t now_ns() noexcept;
 
-/// Records one complete span on the calling thread's ring. `arg_key`
-/// 0 means "no annotation"; otherwise the pair lands in the Chrome
-/// event's "args" object (e.g. cache_hit=1 on runner.shard spans).
+/// Records one complete span on the calling thread's ring, with up to two
+/// key=value annotations. A key of 0 means "no annotation"; otherwise the
+/// pair lands in the Chrome event's "args" object (e.g. cache_hit=1 on
+/// runner.shard spans).
 void record_complete(Label label, std::int64_t ts_ns, std::int64_t dur_ns,
-                     Label arg_key = 0, std::int64_t arg_value = 0) noexcept;
+                     Label arg_key = 0, std::int64_t arg_value = 0, Label arg2_key = 0,
+                     std::int64_t arg2_value = 0) noexcept;
 
 struct Stats {
   std::uint64_t recorded = 0;  ///< events recorded since the last clear()
@@ -86,25 +88,32 @@ class ScopedSpan {
       : label_(enabled() ? label : 0), start_(label_ != 0 ? now_ns() : 0) {}
   ~ScopedSpan() {
     if (label_ != 0) {
-      record_complete(label_, start_, now_ns() - start_, arg_key_, arg_value_);
+      record_complete(label_, start_, now_ns() - start_, keys_[0], values_[0], keys_[1],
+                      values_[1]);
     }
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Attaches one key=value annotation to the span's end event.
+  /// Attaches a key=value annotation to the span's end event. A span
+  /// holds two keys; a key it already holds gets the new value, and a
+  /// third key is dropped.
   void arg(Label key, std::int64_t value) noexcept {
-    if (label_ != 0) {
-      arg_key_ = key;
-      arg_value_ = value;
+    if (label_ == 0) return;
+    for (int i = 0; i < 2; ++i) {
+      if (keys_[i] == 0 || keys_[i] == key) {
+        keys_[i] = key;
+        values_[i] = value;
+        return;
+      }
     }
   }
 
  private:
   Label label_;
   std::int64_t start_;
-  Label arg_key_ = 0;
-  std::int64_t arg_value_ = 0;
+  Label keys_[2] = {0, 0};
+  std::int64_t values_[2] = {0, 0};
 };
 
 }  // namespace pcss::obs::trace

@@ -15,17 +15,17 @@ namespace pcss::obs::trace {
 
 namespace {
 
-/// Per-slot ring capacity. 16384 events x 40 bytes = 640 KiB per slot;
+/// Per-slot ring capacity. 16384 events x 48 bytes = 768 KiB per slot;
 /// slots are bounded by peak thread concurrency (exited threads' slots
-/// are recycled), so a traced 8-worker run tops out around 5 MiB.
+/// are recycled), so a traced 8-worker run tops out around 6 MiB.
 constexpr std::uint64_t kRingCapacity = 16384;
 
 struct Event {
   std::int64_t ts_ns = 0;
   std::int64_t dur_ns = 0;
-  std::int64_t arg_value = 0;
+  std::int64_t arg_values[2] = {0, 0};
   Label label = 0;
-  Label arg_key = 0;
+  Label arg_keys[2] = {0, 0};
 };
 
 struct ThreadBuffer {
@@ -168,16 +168,19 @@ std::int64_t now_ns() noexcept {
 }
 
 void record_complete(Label label, std::int64_t ts_ns, std::int64_t dur_ns,
-                     Label arg_key, std::int64_t arg_value) noexcept {
+                     Label arg_key, std::int64_t arg_value, Label arg2_key,
+                     std::int64_t arg2_value) noexcept {
   if (!enabled() || label == 0) return;
   ThreadBuffer* buf = thread_buffer();
   const std::uint64_t head = buf->head.load(std::memory_order_relaxed);
   Event& slot = buf->ring[static_cast<std::size_t>(head % kRingCapacity)];
   slot.ts_ns = ts_ns;
   slot.dur_ns = dur_ns;
-  slot.arg_value = arg_value;
+  slot.arg_values[0] = arg_value;
+  slot.arg_values[1] = arg2_value;
   slot.label = label;
-  slot.arg_key = arg_key;
+  slot.arg_keys[0] = arg_key;
+  slot.arg_keys[1] = arg2_key;
   buf->head.store(head + 1, std::memory_order_release);
 }
 
@@ -225,14 +228,17 @@ std::string drain_chrome_json() {
     out += ", \"dur\": ";
     std::snprintf(num, sizeof(num), "%.3f", static_cast<double>(e.dur_ns) / 1000.0);
     out += num;
-    if (e.arg_key != 0) {
-      out += ", \"args\": {\"";
-      append_json_escaped(out, label_name(e.arg_key));
+    const char* sep = ", \"args\": {\"";
+    for (int a = 0; a < 2; ++a) {
+      if (e.arg_keys[a] == 0) continue;
+      out += sep;
+      sep = ", \"";
+      append_json_escaped(out, label_name(e.arg_keys[a]));
       out += "\": ";
-      std::snprintf(num, sizeof(num), "%lld", static_cast<long long>(e.arg_value));
+      std::snprintf(num, sizeof(num), "%lld", static_cast<long long>(e.arg_values[a]));
       out += num;
-      out += "}";
     }
+    if (e.arg_keys[0] != 0 || e.arg_keys[1] != 0) out += "}";
     out += "}";
   }
   out += "\n]}\n";

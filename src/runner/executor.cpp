@@ -8,9 +8,12 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -282,15 +285,10 @@ ShardData compute_noise_shard(SegmentationModel& model, const AttackVariant& var
 // Defense-grid shards
 // ---------------------------------------------------------------------------
 
-/// Everything one defense-grid shard computes: per-attack traces and
-/// per-cell case rows for the shard's clouds, in the spec's enumeration
-/// order (which the cache key pins, so order is identity).
-struct GridShardData {
-  std::vector<pcss::core::GridAttackTrace> attacks;
-  std::vector<std::vector<GridCaseRow>> cells;
-};
-
-Json grid_shard_to_json(const GridShardData& shard) {
+/// A grid shard's stored payload: per-attack traces and per-cell case
+/// rows for the shard's clouds, in the spec's enumeration order (which
+/// the cache key pins, so order is identity). Labels are not stored.
+Json grid_shard_to_json(const pcss::core::DefenseGridResult& shard) {
   Json j = Json::object();
   Json attacks = Json::array();
   for (const auto& trace : shard.attacks) {
@@ -305,11 +303,11 @@ Json grid_shard_to_json(const GridShardData& shard) {
   Json cells = Json::array();
   for (const auto& cell : shard.cells) {
     Json cases = Json::array();
-    for (const GridCaseRow& row : cell) {
+    for (const pcss::core::GridCase& row : cell.cases) {
       Json c = Json::object();
       c.set("accuracy", row.accuracy);
       c.set("aiou", row.aiou);
-      c.set("points_kept", row.points_kept);
+      c.set("points_kept", static_cast<long long>(row.points_kept));
       cases.push(std::move(c));
     }
     cells.push(std::move(cases));
@@ -318,9 +316,9 @@ Json grid_shard_to_json(const GridShardData& shard) {
   return j;
 }
 
-GridShardData grid_shard_from_json(const Json& j, std::size_t attack_count,
-                                   std::size_t cell_count) {
-  GridShardData shard;
+pcss::core::DefenseGridResult grid_shard_from_json(const Json& j, std::size_t attack_count,
+                                                   std::size_t cell_count) {
+  pcss::core::DefenseGridResult shard;
   const Json& attacks = j.at("attacks");
   const Json& cells = j.at("cells");
   // A shard written for a different spec shape is unusable; failing here
@@ -337,14 +335,23 @@ GridShardData grid_shard_from_json(const Json& j, std::size_t attack_count,
     shard.attacks.push_back(std::move(trace));
   }
   for (const Json& cell : cells.items()) {
-    std::vector<GridCaseRow> rows;
+    pcss::core::GridCell rows;
     for (const Json& c : cell.items()) {
-      rows.push_back({c.at("accuracy").number(), c.at("aiou").number(),
-                      static_cast<long long>(c.at("points_kept").number())});
+      rows.cases.push_back({c.at("accuracy").number(), c.at("aiou").number(),
+                            static_cast<std::int64_t>(c.at("points_kept").number())});
     }
     shard.cells.push_back(std::move(rows));
   }
   return shard;
+}
+
+/// Attack steps a grid shard executed.
+long long grid_steps(const pcss::core::DefenseGridResult& shard) {
+  long long steps = 0;
+  for (const auto& trace : shard.attacks) {
+    for (long long s : trace.steps) steps += s;
+  }
+  return steps;
 }
 
 ShardData compute_shared_shard(SegmentationModel& model, const AttackConfig& config,
@@ -412,32 +419,23 @@ GridSetup make_grid_setup(const ExperimentSpec& spec, ModelProvider& provider,
   return setup;
 }
 
-/// Computes the grid shard covering clouds [offset, offset+count): the
-/// shard's global offset keys both the attack RNG (seed + g) and the
-/// defense streams (defense_cell_seed at global g), so the result is
-/// invariant under any partitioning.
-GridShardData compute_grid_shard(const GridSetup& setup, const ExperimentSpec& spec,
-                                 std::span<const PointCloud> clouds, std::size_t offset,
-                                 std::size_t count, const ExecPolicy& policy) {
+/// Computes the grid shard covering clouds [offset, offset+count) on its
+/// own pool (the multi-process worker's shard unit): the shard's global
+/// offset keys both the attack RNG (seed + g) and the defense streams
+/// (defense_cell_seed at global g), so the result is invariant under any
+/// partitioning.
+pcss::core::DefenseGridResult compute_grid_shard(const GridSetup& setup,
+                                                 const ExperimentSpec& spec,
+                                                 std::span<const PointCloud> clouds,
+                                                 std::size_t offset, std::size_t count,
+                                                 const ExecPolicy& policy) {
   pcss::core::DefenseGridOptions grid_options;
   grid_options.defense_seed = spec.defense_seed;
   grid_options.cloud_index_base = offset;
   grid_options.policy = policy;
-  const pcss::core::DefenseGridResult result = pcss::core::evaluate_defense_grid(
-      *setup.source, setup.victims, clouds.subspan(offset, count), setup.attacks,
-      setup.defenses, grid_options);
-  GridShardData shard;
-  shard.attacks = result.attacks;
-  shard.cells.reserve(result.cells.size());
-  for (const pcss::core::GridCell& cell : result.cells) {
-    std::vector<GridCaseRow> rows;
-    rows.reserve(cell.cases.size());
-    for (const pcss::core::GridCase& c : cell.cases) {
-      rows.push_back({c.accuracy, c.aiou, static_cast<long long>(c.points_kept)});
-    }
-    shard.cells.push_back(std::move(rows));
-  }
-  return shard;
+  return pcss::core::evaluate_defense_grid(*setup.source, setup.victims,
+                                           clouds.subspan(offset, count), setup.attacks,
+                                           setup.defenses, grid_options);
 }
 
 /// Planned shard count for the whole run, computed up front so progress
@@ -455,79 +453,252 @@ int planned_shard_count(const ExperimentSpec& spec, std::size_t cloud_count,
   return per_model * static_cast<int>(spec.models.size());
 }
 
-/// Executes (or replays) a kDefenseGrid spec into `doc`/`out`: shards of
-/// clouds, each computed by core::evaluate_defense_grid with the shard's
-/// global offset, so attack RNG (seed + g) and defense streams
-/// (defense_cell_seed at global g) are invariant under any partitioning.
+// ---------------------------------------------------------------------------
+// run_spec's one worker pool
+// ---------------------------------------------------------------------------
+
+/// A finished job, handed from a worker to the executor thread.
+struct JobDone {
+  std::size_t shard = 0;
+  std::int64_t start_ns = 0, end_ns = 0;  ///< obs::trace clock
+  std::exception_ptr error;
+};
+
+/// Worker -> executor hand-off of finished jobs, first in first out.
+class JobDoneQueue {
+ public:
+  void push(JobDone done) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      queue_.push_back(std::move(done));
+    }
+    cv_.notify_one();
+  }
+  JobDone pop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return !queue_.empty(); });
+    JobDone done = std::move(queue_.front());
+    queue_.pop_front();
+    return done;
+  }
+
+ private:
+  // GUARDS: queue_ (finished jobs not yet collected by the executor)
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<JobDone> queue_;
+};
+
+/// The executor side of a run_spec call, shared by every spec kind.
+/// Shards are the cache, progress and cancel unit; jobs on the call's one
+/// WorkerPool are the scheduling unit. A job writes its result by index
+/// into its shard, which was sized before the job was queued. This thread
+/// replays cached shards, collects finished jobs, and stores each shard
+/// as soon as its last job lands, then reports progress and polls cancel.
+///
+/// Declare it after everything its jobs reference: a cancel or a failed
+/// job unwinds through its destructor, which drops queued jobs and waits
+/// for running ones while what they use is still alive.
+class ShardJobs {
+ public:
+  /// Tag for a job that belongs to no shard (a clean-accuracy pass).
+  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
+
+  ShardJobs(const std::string& spec_name, ResultStore& store, const RunOptions& options,
+            ShardTelemetry& telemetry, RunOutcome& out, std::size_t shards)
+      : spec_name_(spec_name),
+        store_(store),
+        options_(options),
+        telemetry_(telemetry),
+        out_(out),
+        clocks_(shards) {}
+
+  void poll_cancel() const {
+    if (options_.cancel && options_.cancel()) throw RunCancelled(spec_name_);
+  }
+
+  /// Replays the shard stored under `key`, unless RunOptions::force.
+  /// `parse` fills the shard from the stored JSON; a throw marks the bytes
+  /// unreadable and the shard is recomputed. Returns whether it replayed.
+  template <typename Parse>
+  bool replay(const std::string& key, Parse&& parse) {
+    if (options_.force) return false;
+    const std::int64_t start_ns = obs::trace::now_ns();
+    const auto cached = store_.get(key);
+    if (!cached) return false;
+    try {
+      parse(Json::parse(*cached));
+    } catch (const std::exception&) {
+      return false;
+    }
+    ++out_.shards_from_cache;
+    telemetry_.finish_shard(/*from_cache=*/true, start_ns, obs::trace::now_ns(), out_);
+    poll_cancel();
+    return true;
+  }
+
+  /// Stores a computed shard and counts its attack steps; [start_ns,
+  /// end_ns] is its work, from its first job's start to its last job's end.
+  void finish(const std::string& key, const std::string& bytes, long long steps,
+              std::int64_t start_ns, std::int64_t end_ns) {
+    store_.put(key, bytes);
+    out_.attack_steps += steps;
+    telemetry_.finish_shard(/*from_cache=*/false, start_ns, end_ns, out_);
+    poll_cancel();
+  }
+
+  /// Starts the pool for at most `jobs` jobs: RunOptions::num_threads
+  /// workers, never more than there are jobs.
+  void start(std::size_t jobs) {
+    pool_.emplace(static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(pcss::core::resolve_threads(options_.num_threads)), jobs)));
+  }
+
+  /// Queues `work` as one job of shard `shard` (or kNoShard).
+  void submit(std::size_t shard, std::function<void()> work) {
+    if (shard != kNoShard) ++clocks_[shard].pending;
+    ++in_flight_;
+    pool_->submit([this, shard, work = std::move(work)] {
+      JobDone done;
+      done.shard = shard;
+      done.start_ns = obs::trace::now_ns();
+      try {
+        work();
+      } catch (...) {
+        done.error = std::current_exception();
+      }
+      done.end_ns = obs::trace::now_ns();
+      finished_.push(std::move(done));
+    });
+  }
+
+  /// Collects jobs until none is queued or running and rethrows the first
+  /// failure. `on_shard_done(shard, start_ns, end_ns)` runs here when a
+  /// shard's last job lands; it may queue more jobs.
+  void collect(const std::function<void(std::size_t, std::int64_t, std::int64_t)>&
+                   on_shard_done) {
+    // Telemetry only: the executor's blocked time, so a trace tells it
+    // apart from the executor's own work (pcss_trace does not count it busy).
+    static const obs::trace::Label kWaitSpan = obs::trace::intern("runner.wait");
+    while (in_flight_ > 0) {
+      JobDone done = [&] {
+        const obs::trace::ScopedSpan wait(kWaitSpan);
+        return finished_.pop();
+      }();
+      --in_flight_;
+      if (done.error) std::rethrow_exception(done.error);
+      if (done.shard == kNoShard) continue;
+      Clock& clock = clocks_[done.shard];
+      clock.start_ns = std::min(clock.start_ns, done.start_ns);
+      clock.end_ns = std::max(clock.end_ns, done.end_ns);
+      if (--clock.pending == 0) on_shard_done(done.shard, clock.start_ns, clock.end_ns);
+    }
+  }
+
+ private:
+  struct Clock {
+    std::size_t pending = 0;  ///< jobs queued or running
+    std::int64_t start_ns = std::numeric_limits<std::int64_t>::max();
+    std::int64_t end_ns = 0;
+  };
+
+  const std::string& spec_name_;
+  ResultStore& store_;
+  const RunOptions& options_;
+  ShardTelemetry& telemetry_;
+  RunOutcome& out_;
+  std::vector<Clock> clocks_;  ///< per shard
+  std::size_t in_flight_ = 0;  ///< jobs queued or running
+  JobDoneQueue finished_;
+  std::optional<pcss::core::WorkerPool> pool_;  ///< last: destroyed first
+};
+
+/// Executes (or replays) a kDefenseGrid spec into `doc`/`out`. One
+/// (attack column, cloud) pair is one job on run_spec's pool:
+/// core::DefenseGrid::run_job attacks cloud g on stream seed + g, applies
+/// every defense with defense_cell_seed at global g and lets every victim
+/// predict, so documents and shard files are invariant under any
+/// partitioning, thread count and completion order.
 void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
                           ResultStore& store, const RunOptions& options,
                           const std::string& key, std::span<const PointCloud> clouds,
                           int shard_size, RunDocument& doc, RunOutcome& out,
                           ShardTelemetry& telemetry) {
   const GridSetup setup = make_grid_setup(spec, provider, options);
+  const pcss::core::DefenseGrid grid(*setup.source, setup.victims, setup.attacks,
+                                     setup.defenses, spec.defense_seed);
   doc.source_model = to_string(spec.models[0]);
   doc.defense_seed = spec.defense_seed;
-
-  for (const pcss::core::GridAttack& attack : setup.attacks) {
-    GridAttackResult trace;
-    trace.label = attack.label;
-    doc.grid_attacks.push_back(std::move(trace));
+  const pcss::core::DefenseGridResult labels = grid.blank_result(0);
+  for (const pcss::core::GridAttackTrace& trace : labels.attacks) {
+    doc.grid_attacks.emplace_back().label = trace.label;
   }
-  for (const pcss::core::GridAttack& attack : setup.attacks) {
-    for (const pcss::core::GridDefense& defense : setup.defenses) {
-      for (const pcss::core::GridVictim& victim : setup.victims) {
-        GridCellResult cell;
-        cell.attack = attack.label;
-        cell.defense = defense.label;
-        cell.victim = victim.label;
-        doc.grid.push_back(std::move(cell));
-      }
-    }
+  for (const pcss::core::GridCell& cell : labels.cells) {
+    GridCellResult& result = doc.grid.emplace_back();
+    result.attack = cell.attack;
+    result.defense = cell.defense;
+    result.victim = cell.victim;
   }
 
-  // Defense-grid shards run one after another, each as run_batch calls on
-  // the engine's own per-call pool.
+  struct GridShard {
+    std::size_t offset = 0, count = 0;
+    std::string key;
+    pcss::core::DefenseGridResult data;
+  };
+  std::vector<GridShard> shards;
   for (std::size_t offset = 0; offset < clouds.size();
        offset += static_cast<std::size_t>(shard_size)) {
-    if (options.cancel && options.cancel()) throw RunCancelled(spec.name);
     const std::size_t count =
         std::min(static_cast<std::size_t>(shard_size), clouds.size() - offset);
-    const std::string shard_key = grid_shard_key(key, offset, count);
-    ++out.shards_total;
-    GridShardData shard;
-    bool from_cache = false;
-    const std::int64_t shard_start = obs::trace::now_ns();
-    if (!options.force) {
-      if (auto cached = store.get(shard_key)) {
-        try {
-          shard = grid_shard_from_json(Json::parse(*cached), setup.attacks.size(),
-                                       doc.grid.size());
-          from_cache = true;
-          ++out.shards_from_cache;
-        } catch (const std::exception&) {
-          shard = GridShardData{};  // unreadable shard: recompute it
-        }
+    shards.push_back({offset, count, grid_shard_key(key, offset, count), {}});
+  }
+  out.shards_total = static_cast<int>(shards.size());
+
+  ShardJobs jobs(spec.name, store, options, telemetry, out, shards.size());
+  jobs.poll_cancel();
+  std::vector<std::size_t> live;
+  std::size_t live_jobs = 0;
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    GridShard& shard = shards[si];
+    if (!jobs.replay(shard.key, [&](const Json& j) {
+          shard.data = grid_shard_from_json(j, setup.attacks.size(), setup.cell_count());
+        })) {
+      shard.data = grid.blank_result(shard.count);
+      live.push_back(si);
+      live_jobs += grid.attack_count() * shard.count;
+    }
+  }
+  jobs.start(live_jobs);
+  for (std::size_t si : live) {
+    for (std::size_t ai = 0; ai < grid.attack_count(); ++ai) {
+      for (std::size_t i = 0; i < shards[si].count; ++i) {
+        jobs.submit(si, [&, si, ai, i] {
+          GridShard& shard = shards[si];
+          const std::size_t g = shard.offset + i;
+          grid.run_job(ai, clouds[g], g, options.plan, shard.data, i);
+        });
       }
     }
-    if (!from_cache) {
-      shard = compute_grid_shard(setup, spec, clouds, offset, count, shard_policy(options));
-      store.put(shard_key, grid_shard_to_json(shard).dump() + "\n");
-      for (const auto& trace : shard.attacks) {
-        for (long long s : trace.steps) out.attack_steps += s;
-      }
-    }
-    telemetry.finish_shard(from_cache, shard_start, obs::trace::now_ns(), out);
-    for (std::size_t ai = 0; ai < shard.attacks.size(); ++ai) {
+  }
+  jobs.collect([&](std::size_t si, std::int64_t start_ns, std::int64_t end_ns) {
+    const GridShard& shard = shards[si];
+    jobs.finish(shard.key, grid_shard_to_json(shard.data).dump() + "\n",
+                grid_steps(shard.data), start_ns, end_ns);
+  });
+
+  for (const GridShard& shard : shards) {
+    for (std::size_t ai = 0; ai < shard.data.attacks.size(); ++ai) {
+      const pcss::core::GridAttackTrace& trace = shard.data.attacks[ai];
       doc.grid_attacks[ai].l2_color.insert(doc.grid_attacks[ai].l2_color.end(),
-                                           shard.attacks[ai].l2_color.begin(),
-                                           shard.attacks[ai].l2_color.end());
+                                           trace.l2_color.begin(), trace.l2_color.end());
       doc.grid_attacks[ai].steps.insert(doc.grid_attacks[ai].steps.end(),
-                                        shard.attacks[ai].steps.begin(),
-                                        shard.attacks[ai].steps.end());
+                                        trace.steps.begin(), trace.steps.end());
     }
-    for (std::size_t ci = 0; ci < shard.cells.size(); ++ci) {
-      doc.grid[ci].cases.insert(doc.grid[ci].cases.end(), shard.cells[ci].begin(),
-                                shard.cells[ci].end());
+    for (std::size_t ci = 0; ci < shard.data.cells.size(); ++ci) {
+      for (const pcss::core::GridCase& c : shard.data.cells[ci].cases) {
+        doc.grid[ci].cases.push_back(
+            {c.accuracy, c.aiou, static_cast<long long>(c.points_kept)});
+      }
     }
   }
 
@@ -554,7 +725,7 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
 }
 
 // ---------------------------------------------------------------------------
-// Attack-table execution: one worker pool per run_spec call
+// Attack-table execution
 // ---------------------------------------------------------------------------
 
 /// One cache unit of an attack-table spec: the clouds [offset,
@@ -564,45 +735,7 @@ struct TableShard {
   std::string key;
   ShardData data;
   bool done = false;
-  std::size_t pending = 0;      ///< clouds still queued or running
-  std::int64_t start_ns = 0;    ///< first cloud's start (obs::trace clock)
-  std::int64_t end_ns = 0;      ///< last cloud's end
   std::vector<std::size_t> calibrated;  ///< noise shards that read this one's L2
-};
-
-/// A finished job, handed from a worker to the executor thread.
-struct CloudDone {
-  static constexpr std::size_t kClean = static_cast<std::size_t>(-1);
-  std::size_t shard = 0;  ///< kClean for a model's clean-accuracy job
-  std::size_t index = 0;  ///< cloud position within the shard
-  CaseRow row;
-  std::int64_t start_ns = 0, end_ns = 0;
-  std::exception_ptr error;
-};
-
-/// Worker -> executor hand-off of finished jobs, first in first out.
-class CloudDoneQueue {
- public:
-  void push(CloudDone done) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      queue_.push_back(std::move(done));
-    }
-    cv_.notify_one();
-  }
-  CloudDone pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !queue_.empty(); });
-    CloudDone done = std::move(queue_.front());
-    queue_.pop_front();
-    return done;
-  }
-
- private:
-  // GUARDS: queue_ (finished clouds not yet collected by the executor)
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<CloudDone> queue_;
 };
 
 /// Index of the variant a noise baseline calibrates from: the first earlier
@@ -623,19 +756,15 @@ std::size_t calibration_source(const ExperimentSpec& spec, std::size_t vi) {
 
 /// Executes (or replays) a kAttackTable spec into `doc`/`out`.
 ///
-/// Shards stay the cache, progress and cancel unit, but not the scheduling
-/// unit: every uncached cloud of every (model, variant) is one job on a
-/// single pool of RunOptions::num_threads workers, calling
-/// AttackEngine::run(cloud, seed + g) — the RNG stream run_batch would
-/// give it — so the pool never waits at a shard barrier. Each model's
-/// clean accuracy is one more job, so this thread never predicts. A noise
-/// shard's
-/// clouds are queued once its calibration shard has finished; a
-/// shared-delta variant stays one indivisible unit, run before the queue
-/// starts. This thread stores each shard as soon as its last cloud
-/// finishes, then reports progress and polls cancel; rows land by index,
-/// so documents and shard files are byte-identical for any thread count,
-/// shard size and completion order.
+/// Every uncached cloud of every (model, variant) is one job on run_spec's
+/// pool, calling AttackEngine::run(cloud, seed + g) — the RNG stream
+/// run_batch would give it — so the pool never waits at a shard barrier.
+/// Each model's clean accuracy is one more job, so this thread never
+/// predicts. A noise shard's clouds are queued once its calibration shard
+/// has finished; a shared-delta variant stays one indivisible unit, run
+/// before the queue starts. Rows land by index, so documents and shard
+/// files are byte-identical for any thread count, shard size and
+/// completion order.
 void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
                           ResultStore& store, const RunOptions& options,
                           const std::string& key, const std::vector<PointCloud>& clouds,
@@ -685,84 +814,54 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
   }
   out.shards_total = static_cast<int>(shards.size());
 
-  const auto poll_cancel = [&] {
-    if (options.cancel && options.cancel()) throw RunCancelled(spec.name);
-  };
-  const auto finish = [&](TableShard& shard, bool from_cache) {
+  // One engine per (model, per-cloud variant), built on first use and
+  // shared by that variant's jobs (AttackEngine::run is const).
+  std::vector<std::unique_ptr<AttackEngine>> engines(first_shard.size());
+  const ExecPolicy job_policy{1, options.plan, {}};
+  doc.models.resize(spec.models.size());  // before any job writes a section
+
+  ShardJobs jobs(spec.name, store, options, telemetry, out, shards.size());
+  const auto finish = [&](TableShard& shard, std::int64_t start_ns, std::int64_t end_ns) {
     shard.done = true;
-    const VariantKind kind = spec.variants[shard.vi].kind;
-    if (from_cache) {
-      ++out.shards_from_cache;
+    long long steps = 0;
+    if (spec.variants[shard.vi].kind == VariantKind::kSharedDelta) {
+      steps = static_cast<long long>(shard.data.steps_used) *
+              static_cast<long long>(shard.count);
     } else {
-      store.put(shard.key, shard_to_json(shard.data, kind).dump() + "\n");
-      if (kind == VariantKind::kSharedDelta) {
-        out.attack_steps += static_cast<long long>(shard.data.steps_used) *
-                            static_cast<long long>(shard.count);
-      } else {
-        for (const CaseRow& row : shard.data.rows) out.attack_steps += row.steps;
-      }
+      for (const CaseRow& row : shard.data.rows) steps += row.steps;
     }
-    telemetry.finish_shard(from_cache, shard.start_ns, shard.end_ns, out);
-    poll_cancel();
+    jobs.finish(shard.key, shard_to_json(shard.data, spec.variants[shard.vi].kind).dump() + "\n",
+                steps, start_ns, end_ns);
   };
 
-  poll_cancel();
-  if (!options.force) {
-    for (TableShard& shard : shards) {
-      shard.start_ns = obs::trace::now_ns();
-      const auto cached = store.get(shard.key);
-      if (!cached) continue;
-      try {
-        shard.data = shard_from_json(Json::parse(*cached), spec.variants[shard.vi].kind);
-      } catch (const std::exception&) {
-        shard.data = ShardData{};  // unreadable shard: recompute it
-        continue;
-      }
-      shard.end_ns = obs::trace::now_ns();
-      finish(shard, /*from_cache=*/true);
-    }
+  jobs.poll_cancel();
+  for (TableShard& shard : shards) {
+    shard.done = jobs.replay(shard.key, [&](const Json& j) {
+      shard.data = shard_from_json(j, spec.variants[shard.vi].kind);
+    });
   }
 
   // Every uncached shared-delta variant runs while the queue is still
   // idle, on run_shared's own per-round pool.
   for (TableShard& shard : shards) {
     if (shard.done || spec.variants[shard.vi].kind != VariantKind::kSharedDelta) continue;
-    shard.start_ns = obs::trace::now_ns();
+    const std::int64_t start_ns = obs::trace::now_ns();
     shard.data = compute_shared_shard(*models[shard.mi], configs[shard.vi], clouds,
                                       shard_policy(options));
-    shard.end_ns = obs::trace::now_ns();
-    finish(shard, /*from_cache=*/false);
+    finish(shard, start_ns, obs::trace::now_ns());
   }
 
-  // One engine per (model, per-cloud variant), built on first use and
-  // shared by that variant's jobs (AttackEngine::run is const).
-  std::vector<std::unique_ptr<AttackEngine>> engines(first_shard.size());
-  const ExecPolicy job_policy{1, options.plan, {}};
   std::size_t live_jobs = spec.models.size();  // the clean-accuracy jobs
   for (const TableShard& shard : shards) {
     if (!shard.done) live_jobs += shard.count;
   }
-  CloudDoneQueue finished;
-  // Declared after everything its jobs reference, so it is destroyed
-  // first: a cancel or a failed job unwinds through here, dropping queued
-  // jobs and waiting for running ones while what they use is still alive.
-  pcss::core::WorkerPool pool(static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(pcss::core::resolve_threads(options.num_threads)), live_jobs)));
-
-  doc.models.resize(spec.models.size());  // before any job writes a section
+  jobs.start(live_jobs);
   for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
     doc.models[mi].model = to_string(spec.models[mi]);
-    pool.submit([&, mi] {
-      CloudDone done;
-      done.shard = CloudDone::kClean;
-      try {
-        const SegMetrics clean = pcss::core::clean_metrics(*models[mi], clouds);
-        doc.models[mi].clean_accuracy = clean.accuracy;
-        doc.models[mi].clean_aiou = clean.aiou;
-      } catch (...) {
-        done.error = std::current_exception();
-      }
-      finished.push(std::move(done));
+    jobs.submit(ShardJobs::kNoShard, [&, mi] {
+      const SegMetrics clean = pcss::core::clean_metrics(*models[mi], clouds);
+      doc.models[mi].clean_accuracy = clean.accuracy;
+      doc.models[mi].clean_aiou = clean.aiou;
     });
   }
 
@@ -778,30 +877,18 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
       source = &shards[calibration_shard(shard)];
     }
     shard.data.rows.resize(shard.count);
-    shard.pending = shard.count;
     for (std::size_t i = 0; i < shard.count; ++i) {
-      pool.submit([&, si, i, engine, source] {
-        const TableShard& job = shards[si];
+      jobs.submit(si, [&, si, i, engine, source] {
+        TableShard& job = shards[si];
         const std::size_t g = job.offset + i;
         SegmentationModel& model = *models[job.mi];
         const AttackConfig& config = configs[job.vi];
-        CloudDone done;
-        done.shard = si;
-        done.index = i;
-        done.start_ns = obs::trace::now_ns();
-        try {
-          if (engine != nullptr) {
-            done.row = attack_row(model, config, spec.use_l0_distance, clouds[g],
-                                  engine->run(clouds[g], config.seed + g, job_policy));
-          } else {
-            done.row = noise_row(model, spec.variants[job.vi], config, spec.use_l0_distance,
-                                 clouds[g], g, source->data.rows[i].l2_color);
-          }
-        } catch (...) {
-          done.error = std::current_exception();
-        }
-        done.end_ns = obs::trace::now_ns();
-        finished.push(std::move(done));
+        job.data.rows[i] =
+            engine != nullptr
+                ? attack_row(model, config, spec.use_l0_distance, clouds[g],
+                             engine->run(clouds[g], config.seed + g, job_policy))
+                : noise_row(model, spec.variants[job.vi], config, spec.use_l0_distance,
+                            clouds[g], g, source->data.rows[i].l2_color);
       });
     }
   };
@@ -812,30 +899,14 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
       queue_shard(si);
     }
   }
-
-  // Telemetry only: the executor's blocked time, so a trace tells it
-  // apart from the executor's own work (pcss_trace does not count it busy).
-  static const obs::trace::Label kWaitSpan = obs::trace::intern("runner.wait");
-  for (; live_jobs > 0; --live_jobs) {
-    CloudDone done = [&] {
-      const obs::trace::ScopedSpan wait(kWaitSpan);
-      return finished.pop();
-    }();
-    if (done.error) std::rethrow_exception(done.error);
-    if (done.shard == CloudDone::kClean) continue;
-    TableShard& shard = shards[done.shard];
-    shard.data.rows[done.index] = done.row;
-    shard.start_ns =
-        shard.pending == shard.count ? done.start_ns : std::min(shard.start_ns, done.start_ns);
-    shard.end_ns = std::max(shard.end_ns, done.end_ns);
-    if (--shard.pending > 0) continue;
+  jobs.collect([&](std::size_t si, std::int64_t start_ns, std::int64_t end_ns) {
     // Queue the noise shards calibrated from this one before reporting,
     // so the workers do not wait on the progress callback.
-    for (std::size_t dependent : shard.calibrated) {
+    for (std::size_t dependent : shards[si].calibrated) {
       if (!shards[dependent].done) queue_shard(dependent);
     }
-    finish(shard, /*from_cache=*/false);
-  }
+    finish(shards[si], start_ns, end_ns);
+  });
 
   // Assemble the document in spec order.
   for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
@@ -1265,12 +1336,10 @@ class WorkerPlanner {
   std::string compute_payload(const WorkerShard& shard, ResultStore& store,
                               long long& steps) {
     if (shard.grid) {
-      const GridShardData data =
+      const pcss::core::DefenseGridResult data =
           compute_grid_shard(grid(), spec_, clouds_, shard.offset, shard.count,
                              shard_policy(options_));
-      for (const auto& trace : data.attacks) {
-        for (long long s : trace.steps) steps += s;
-      }
+      steps += grid_steps(data);
       return grid_shard_to_json(data).dump() + "\n";
     }
     const ShardData data = compute_table_shard(shard, store, steps);

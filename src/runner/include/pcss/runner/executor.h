@@ -250,10 +250,11 @@ void print_grid_matrix(const RunDocument& doc);
 ///      single pool of `num_threads` workers (AttackEngine::run with
 ///      seed + g); a noise baseline's clouds join the queue once their
 ///      calibration shard is done, and a shared-delta variant runs as one
-///      unit before the queue starts. Defense grids compute one shard at
-///      a time over run_batch. Each shard is stored as soon as its last
-///      cloud finishes: shards are the cache, progress and cancel unit,
-///      not the scheduling unit;
+///      unit before the queue starts. Defense grids queue one job per
+///      (attack column, cloud) on the same pool, which attacks the cloud
+///      and then scores its defended cells. Each shard is stored as soon
+///      as its last job finishes: shards are the cache, progress and
+///      cancel unit, not the scheduling unit;
 ///   4. assemble, aggregate, and atomically store "<key>.json" plus a
 ///      "<key>.perf.json" sidecar (wall-clock, steps/s, shard counts).
 ///

@@ -92,8 +92,9 @@ void release(FloatBuffer&& buffer) noexcept;
 
 Stats stats() noexcept;
 void reset_stats() noexcept;
-/// Frees every cached buffer of the calling thread.
-void trim() noexcept;
+/// Frees cached buffers of the calling thread, largest first, until at
+/// most `keep_floats` floats stay cached (by default, all of them).
+void trim(std::size_t keep_floats = 0) noexcept;
 
 /// Cross-thread view of one pool slot. Each thread's pool registers a
 /// slot on first use; when the thread exits, the slot is marked not-live

@@ -180,13 +180,19 @@ void reset_stats() noexcept {
   p->counters.cached_floats = floats;
 }
 
-void trim() noexcept {
+void trim(std::size_t keep_floats) noexcept {
   Pool* p = tl_pool;
   if (p == nullptr) return;
-  for (auto& list : p->free_lists) list.clear();
-  p->counters.cached_buffers = 0;
-  p->counters.cached_floats = 0;
-  p->slot->cached_floats.store(0, std::memory_order_relaxed);
+  for (std::size_t cls = kNumClasses; cls-- > 0;) {
+    auto& list = p->free_lists[cls];
+    while (!list.empty() && p->counters.cached_floats > keep_floats) {
+      const std::size_t floats = list.back().capacity();
+      list.pop_back();
+      --p->counters.cached_buffers;
+      p->counters.cached_floats -= floats;
+      p->slot->cached_floats.fetch_sub(floats, std::memory_order_relaxed);
+    }
+  }
 }
 
 std::vector<SlotStats> slot_stats() {

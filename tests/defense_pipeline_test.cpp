@@ -449,6 +449,52 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   }
 }
 
+TEST(DefenseGridTest, CellsAndAttacksIdenticalAtThreadCount1And4) {
+  auto source = tiny_model(12);
+  auto other = tiny_model(13);
+  std::vector<pcss::data::PointCloud> clouds;
+  for (int i = 0; i < 3; ++i) clouds.push_back(scene(96, 40 + static_cast<unsigned>(i)));
+  const std::vector<GridVictim> victims = {{"source", source.get()}, {"other", other.get()}};
+  const std::vector<GridAttack> attacks = {{"clean", true, {}},
+                                           {"bounded", false, small_bounded_config()}};
+  std::vector<GridDefense> defenses;
+  defenses.push_back({"none", {}});
+  DefensePipeline srs;
+  srs.add(make_srs_fraction_stage(0.1f));
+  defenses.push_back({"srs", srs});
+
+  DefenseGridOptions one;
+  one.defense_seed = 77;
+  one.cloud_index_base = 5;
+  one.policy.threads = 1;
+  DefenseGridOptions four = one;
+  four.policy.threads = 4;
+  const DefenseGridResult serial =
+      evaluate_defense_grid(*source, victims, clouds, attacks, defenses, one);
+  const DefenseGridResult pooled =
+      evaluate_defense_grid(*source, victims, clouds, attacks, defenses, four);
+  ASSERT_EQ(serial.cells.size(), pooled.cells.size());
+  for (size_t c = 0; c < serial.cells.size(); ++c) {
+    const GridCell& a = serial.cells[c];
+    const GridCell& b = pooled.cells[c];
+    EXPECT_EQ(a.attack + a.defense + a.victim, b.attack + b.defense + b.victim);
+    ASSERT_EQ(a.cases.size(), clouds.size());
+    ASSERT_EQ(b.cases.size(), clouds.size());
+    for (size_t g = 0; g < clouds.size(); ++g) {
+      EXPECT_EQ(a.cases[g].accuracy, b.cases[g].accuracy) << c << "/" << g;
+      EXPECT_EQ(a.cases[g].aiou, b.cases[g].aiou) << c << "/" << g;
+      EXPECT_EQ(a.cases[g].points_kept, b.cases[g].points_kept) << c << "/" << g;
+    }
+  }
+  ASSERT_EQ(serial.attacks.size(), pooled.attacks.size());
+  for (size_t ai = 0; ai < serial.attacks.size(); ++ai) {
+    EXPECT_EQ(serial.attacks[ai].label, pooled.attacks[ai].label);
+    EXPECT_EQ(serial.attacks[ai].l2_color, pooled.attacks[ai].l2_color);
+    EXPECT_EQ(serial.attacks[ai].steps, pooled.attacks[ai].steps);
+  }
+  EXPECT_GT(pooled.attacks[1].steps[0], 0) << "the attack column must actually attack";
+}
+
 TEST(DefenseGridTest, CloudIndexBaseMakesShardingInvisible) {
   auto source = tiny_model(11);
   std::vector<pcss::data::PointCloud> clouds;

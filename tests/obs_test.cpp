@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -421,6 +422,87 @@ TEST_F(TraceTest, PcssTraceReadsTheShardsOfAThreadCount4Run) {
     const double percent = std::stod(row.substr(row.rfind('(') + 1));
     EXPECT_LE(percent, 100.0) << row << "\n" << output;
   }
+  fs::remove(path);
+  fs::remove_all(root);
+}
+
+TEST_F(TraceTest, PcssTraceReadsAThreadCount4GridRun) {
+  // A defense grid's jobs (one per attack column and cloud) run on the
+  // workers; each shard span is recorded on the executor thread and
+  // covers its jobs.
+  ObsTinyProvider provider;
+  const std::string root = (fs::temp_directory_path() / "pcss_obs_test_grid4").string();
+  fs::remove_all(root);
+  pcss::runner::ResultStore store(root);
+  pcss::runner::ExperimentSpec spec = obs_mini_spec();
+  spec.name = "obs_grid";
+  spec.kind = pcss::runner::SpecKind::kDefenseGrid;
+  spec.victims = {pcss::runner::ModelId::kResGCNIndoor};
+  spec.defenses.push_back({"none", {}});
+  spec.defenses.push_back(
+      {"srs", {{.kind = pcss::runner::DefenseStageKind::kSrs, .srs_fraction = 0.1f}}});
+  pcss::runner::RunOptions options = obs_tiny_options(4);
+  options.scale.scenes = 4;
+  trace::clear();
+  trace::set_enabled(true);
+  const pcss::runner::RunOutcome out = run_spec(spec, provider, store, options);
+  trace::set_enabled(false);
+  ASSERT_EQ(out.shards_total, 2);
+
+  const std::string path = (fs::temp_directory_path() / "pcss_obs_test_grid4.json").string();
+  ASSERT_TRUE(trace::write_chrome_json(path));
+  std::ifstream in(path);
+  const Json doc = Json::parse(std::string(std::istreambuf_iterator<char>(in), {}));
+  struct Window {
+    double start = 0.0, end = 0.0;
+  };
+  std::vector<Window> shards;
+  std::vector<std::pair<Window, int>> jobs;  // window, cloud
+  std::set<std::pair<int, int>> pairs;       // (attack, cloud)
+  double executor_tid = -1.0;
+  std::vector<double> job_tids;
+  for (const Json& e : doc.at("traceEvents").items()) {
+    const std::string& name = e.at("name").str();
+    const Window w{e.at("ts").number(), e.at("ts").number() + e.at("dur").number()};
+    if (name == "runner.shard") shards.push_back(w);
+    if (name == "runner.run_spec") executor_tid = e.at("tid").number();
+    if (name == "grid.job") {
+      const Json& args = e.at("args");
+      const int cloud = static_cast<int>(args.at("cloud").number());
+      pairs.insert({static_cast<int>(args.at("attack").number()), cloud});
+      jobs.push_back({w, cloud});
+      job_tids.push_back(e.at("tid").number());
+    }
+    EXPECT_NE(name, "grid.cell") << "the serial per-cell span is gone";
+  }
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_EQ(jobs.size(), 8u) << "(clean + bounded) x 4 clouds";
+  EXPECT_EQ(pairs.size(), 8u) << "every (attack, cloud) job exactly once";
+  for (double tid : job_tids) EXPECT_NE(tid, executor_tid) << "jobs run on the workers";
+  // Shards are recorded in completion order; match each job to the
+  // shard window that holds it (clouds 0-1 and 2-3 are the two shards).
+  for (const auto& [job, cloud] : jobs) {
+    const bool covered = std::any_of(shards.begin(), shards.end(), [&](const Window& s) {
+      return s.start <= job.start + 0.01 && job.end <= s.end + 0.01;
+    });
+    EXPECT_TRUE(covered) << "cloud " << cloud << " job outside every shard span";
+  }
+
+  const auto [status, output] = run_pcss_trace(path);
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("shard timeline (2 shards, at most "), std::string::npos) << output;
+  bool saw_job = false;
+  for (const std::string& row : report_section(output, "top spans by self-time")) {
+    std::istringstream fields(row);
+    std::string name;
+    double self_ms = 0.0;
+    fields >> name >> self_ms;
+    if (name == "grid.job") saw_job = true;
+    if (name != "span") {
+      EXPECT_GE(self_ms, 0.0) << row << "\n" << output;
+    }
+  }
+  EXPECT_TRUE(saw_job) << output;
   fs::remove(path);
   fs::remove_all(root);
 }

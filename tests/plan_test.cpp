@@ -322,6 +322,30 @@ TEST(PlanEngine, SharedDeltaReplayMatchesEager) {
   EXPECT_EQ(planned.accuracy_after, eager.accuracy_after);
 }
 
+TEST(PlanEngine, RepeatedSharedRunsKeepTheCallersPoolFlat) {
+  // Plans captured and replayed on pool threads must not park their
+  // pinned buffers in the calling thread's pool, where nothing reuses
+  // them: a long-lived caller would grow by a few plans per call.
+  Rng rng(29);
+  auto model = make_model(Family::kResGCN, rng);
+  std::vector<PointCloud> clouds;
+  Rng scenes(30);
+  IndoorSceneGenerator gen({.num_points = 96});
+  for (int i = 0; i < 3; ++i) clouds.push_back(gen.generate(scenes));
+  AttackConfig config;
+  config.field = AttackField::kColor;
+  config.steps = 3;
+  const AttackEngine engine(*model, config);
+  const ExecPolicy policy{3, true, {}};
+  pcss::tensor::pool::trim();  // start from an empty pool, whatever ran before
+  engine.run_shared(clouds, policy);
+  const std::size_t after_first = pcss::tensor::pool::stats().cached_floats;
+  for (int call = 2; call <= 4; ++call) {
+    engine.run_shared(clouds, policy);
+    EXPECT_EQ(pcss::tensor::pool::stats().cached_floats, after_first) << "call " << call;
+  }
+}
+
 // --- Restart and stop on replayed steps -----------------------------------
 
 /// Restarts at step 2 and stops at step 4: with step 0 capturing, both

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "pcss/core/worker_pool.h"
+#include "pcss/data/indoor.h"
 #include "pcss/obs/metrics.h"
 #include "pcss/runner/executor.h"
 #include "pcss/runner/hash.h"
@@ -619,6 +620,98 @@ TEST_F(RunnerTest, Table3ShapeCancelledAtShardBoundaryResumesToSameBytes) {
   EXPECT_EQ(shard_files(store, spec.name), shard_files(ref_store, spec.name));
 
   fs::remove_all(root_ + "-ref");
+}
+
+TEST_F(RunnerTest, GridShapeBytesIdenticalAcrossThreadCountsAndShardSizes) {
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_grid_spec();
+  std::string reference;
+  for (int shard_size : {1, 4}) {
+    std::map<std::string, std::string> reference_shards;
+    for (int threads : {1, 2, 4}) {
+      const std::string root =
+          root_ + "-s" + std::to_string(shard_size) + "-t" + std::to_string(threads);
+      ResultStore store(root);
+      const RunOutcome out = run_spec(spec, provider, store, table3_options(threads, shard_size));
+      const std::string label =
+          "threads=" + std::to_string(threads) + " shard_size=" + std::to_string(shard_size);
+      EXPECT_FALSE(out.cache_hit) << label;
+      EXPECT_EQ(out.shards_total, shard_size == 1 ? 5 : 2) << label;  // ceil(5/s)
+      if (reference.empty()) reference = out.json;
+      EXPECT_EQ(out.json, reference) << label;
+      const auto files = shard_files(store, spec.name);
+      EXPECT_EQ(files.size(), static_cast<std::size_t>(out.shards_total)) << label;
+      if (reference_shards.empty()) reference_shards = files;
+      EXPECT_EQ(files, reference_shards) << label;
+      fs::remove_all(root);
+    }
+  }
+}
+
+TEST_F(RunnerTest, GridCancelledAtShardBoundaryResumesToSameBytes) {
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_grid_spec();
+  ResultStore ref_store(root_ + "-ref");
+  const RunOutcome ref = run_spec(spec, provider, ref_store, table3_options(1, 1));
+
+  ResultStore store(root_);
+  RunOptions cancelling = table3_options(4, 1);
+  int polls = 0;
+  // Cancel at the third shard boundary (the first poll precedes any
+  // work), with four workers mid-flight on other shards' jobs.
+  cancelling.cancel = [&polls] { return ++polls > 3; };
+  EXPECT_THROW(run_spec(spec, provider, store, cancelling), RunCancelled);
+  EXPECT_EQ(shard_files(store, spec.name).size(), 3u)
+      << "exactly the shards finished before the cancel are stored";
+
+  RunOptions resume = table3_options(2, 1);
+  resume.force = false;
+  const RunOutcome resumed = run_spec(spec, provider, store, resume);
+  EXPECT_FALSE(resumed.cache_hit);
+  EXPECT_EQ(resumed.shards_from_cache, 3);
+  EXPECT_EQ(resumed.json, ref.json);
+  EXPECT_EQ(shard_files(store, spec.name), shard_files(ref_store, spec.name));
+
+  fs::remove_all(root_ + "-ref");
+}
+
+/// A model whose forward pass always throws, so it cannot predict.
+class ThrowingModel final : public SegmentationModel {
+ public:
+  std::string name() const override { return "throwing"; }
+  int num_classes() const override { return pcss::data::kIndoorNumClasses; }
+  pcss::tensor::Tensor forward(const pcss::models::ModelInput&, bool) override {
+    throw std::runtime_error("victim forward failed");
+  }
+  std::vector<pcss::tensor::nn::NamedParam> named_params() override { return {}; }
+  std::vector<pcss::tensor::nn::NamedBuffer> named_buffers() override { return {}; }
+};
+
+/// The tiny provider, except that the PointNet++ victim always throws.
+class ThrowingVictimProvider : public TinyProvider {
+ public:
+  std::shared_ptr<SegmentationModel> model(ModelId id) override {
+    if (id == ModelId::kPointNet2Indoor) return throwing_;
+    return TinyProvider::model(id);
+  }
+
+ private:
+  std::shared_ptr<SegmentationModel> throwing_ = std::make_shared<ThrowingModel>();
+};
+
+TEST_F(RunnerTest, GridVictimThatThrowsFailsTheRunAtThreadCount4) {
+  // Every job's scoring throws on the second victim: run_spec must rethrow
+  // the first failure and unwind through the pool (dropping queued jobs,
+  // joining running ones) instead of waiting for jobs that never report.
+  ThrowingVictimProvider provider;
+  ResultStore store(root_);
+  try {
+    run_spec(mini_grid_spec(), provider, store, table3_options(4, 1));
+    ADD_FAILURE() << "run_spec must surface the victim's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "victim forward failed");
+  }
+  EXPECT_TRUE(shard_files(store, "mini_grid").empty()) << "no shard finished";
 }
 
 TEST(RunnerEta, ExtrapolatesLiveThroughputNotSummedShardTime) {
