@@ -111,8 +111,7 @@ DefenseGridResult evaluate_defense_grid(SegmentationModel& source,
                   1);
   pool.run(jobs, [&](std::size_t job) {
     const std::size_t i = job % clouds.size();
-    grid.run_job(job / clouds.size(), clouds[i], options.cloud_index_base + i,
-                 options.policy.plan, result, i);
+    grid.run_job(job / clouds.size(), clouds[i], i, options.policy.plan, result, i);
   });
   return result;
 }

@@ -72,10 +72,6 @@ struct DefenseGridOptions {
   /// Base seed of the defense draws; cell (attack, defense, cloud g)
   /// uses defense_cell_seed(defense_seed, labels, g).
   std::uint64_t defense_seed = 11000;
-  /// Global index of clouds[0]. Shard executors pass their offset so
-  /// attack RNG (config.seed + global index) and defense streams are
-  /// invariant under any partitioning of the cloud list.
-  std::size_t cloud_index_base = 0;
   /// How to run the grid's jobs: `threads` of them at once (the calling
   /// thread is one; 0 = hardware), and whether attacks may compile plans.
   /// Each job attacks on one thread. The observer is not used.
@@ -125,8 +121,8 @@ class DefenseGrid {
 /// cloud once on `source` (RNG stream seed + global cloud index), every
 /// defense applies once per (attack, cloud), and every victim scores the
 /// shared defended clouds. Freezes the source and every victim around the
-/// call. Deterministic: the result is a pure function of the inputs,
-/// seeds, and cloud_index_base for any thread count.
+/// call. Deterministic: the result is a pure function of the inputs and
+/// seeds for any thread count; cloud i is at global index i.
 DefenseGridResult evaluate_defense_grid(SegmentationModel& source,
                                         std::span<const GridVictim> victims,
                                         std::span<const PointCloud> clouds,

@@ -196,10 +196,8 @@ ShardData shard_from_json(const Json& j, VariantKind kind) {
   return shard;
 }
 
-/// Store keys of the two shard families. One definition each, shared by
-/// the single-process executor and the worker loop: the multi-process
-/// contract is "same key = same bytes", so key construction must not be
-/// able to drift between the two paths.
+/// Store keys of the two shard families. The multi-process contract is
+/// "same key = same bytes", so each key is built in exactly one place.
 std::string table_shard_key(const std::string& key, std::size_t mi, std::size_t vi,
                             std::size_t offset, std::size_t count) {
   return "shards/" + key + "-m" + std::to_string(mi) + "-v" + std::to_string(vi) + "-o" +
@@ -209,13 +207,6 @@ std::string table_shard_key(const std::string& key, std::size_t mi, std::size_t 
 std::string grid_shard_key(const std::string& key, std::size_t offset, std::size_t count) {
   return "shards/" + key + "-grid-o" + std::to_string(offset) + "-n" +
          std::to_string(count) + ".json";
-}
-
-/// The per-shard engine execution policy a RunOptions selects. Pure
-/// execution knobs only (threads, plans, no observer) — nothing here can
-/// change document bytes.
-ExecPolicy shard_policy(const RunOptions& options) {
-  return {options.num_threads, options.plan, {}};
 }
 
 /// One attacked cloud's document row.
@@ -246,39 +237,6 @@ CaseRow noise_row(SegmentationModel& model, const AttackVariant& variant,
   row.l2_color = noise.l2_color;
   row.steps = 0;
   return row;
-}
-
-/// Executes the clouds [offset, offset+count) of one per-cloud variant as
-/// one run_batch (the multi-process worker's shard unit).
-ShardData compute_attack_shard(SegmentationModel& model, const AttackConfig& config,
-                               std::span<const PointCloud> clouds, std::size_t offset,
-                               std::size_t count, bool use_l0, const ExecPolicy& policy) {
-  AttackConfig shard_config = config;
-  // Seed offset keeps cloud g on RNG stream seed+g under any sharding:
-  // run_batch seeds cloud i of the shard with shard_config.seed + i.
-  shard_config.seed += offset;
-  AttackEngine engine(model, shard_config);
-  const std::vector<AttackResult> results =
-      engine.run_batch(clouds.subspan(offset, count), policy);
-  ShardData shard;
-  shard.rows.reserve(count);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    shard.rows.push_back(attack_row(model, config, use_l0, clouds[offset + i], results[i]));
-  }
-  return shard;
-}
-
-ShardData compute_noise_shard(SegmentationModel& model, const AttackVariant& variant,
-                              const AttackConfig& config, std::span<const PointCloud> clouds,
-                              std::size_t offset, std::size_t count, bool use_l0,
-                              const std::vector<double>& calibration_l2) {
-  ShardData shard;
-  shard.rows.reserve(count);
-  for (std::size_t g = offset; g < offset + count; ++g) {
-    shard.rows.push_back(
-        noise_row(model, variant, config, use_l0, clouds[g], g, calibration_l2[g]));
-  }
-  return shard;
 }
 
 // ---------------------------------------------------------------------------
@@ -384,9 +342,7 @@ struct GridSetup {
   }
 };
 
-/// Validates a kDefenseGrid spec and materializes its grid. Shared by
-/// run_spec and run_spec_worker so both reject malformed specs with the
-/// same message and enumerate identical grids.
+/// Validates a kDefenseGrid spec and materializes its grid.
 GridSetup make_grid_setup(const ExperimentSpec& spec, ModelProvider& provider,
                           const RunOptions& options) {
   if (spec.models.size() != 1) {
@@ -419,25 +375,6 @@ GridSetup make_grid_setup(const ExperimentSpec& spec, ModelProvider& provider,
   return setup;
 }
 
-/// Computes the grid shard covering clouds [offset, offset+count) on its
-/// own pool (the multi-process worker's shard unit): the shard's global
-/// offset keys both the attack RNG (seed + g) and the defense streams
-/// (defense_cell_seed at global g), so the result is invariant under any
-/// partitioning.
-pcss::core::DefenseGridResult compute_grid_shard(const GridSetup& setup,
-                                                 const ExperimentSpec& spec,
-                                                 std::span<const PointCloud> clouds,
-                                                 std::size_t offset, std::size_t count,
-                                                 const ExecPolicy& policy) {
-  pcss::core::DefenseGridOptions grid_options;
-  grid_options.defense_seed = spec.defense_seed;
-  grid_options.cloud_index_base = offset;
-  grid_options.policy = policy;
-  return pcss::core::evaluate_defense_grid(*setup.source, setup.victims,
-                                           clouds.subspan(offset, count), setup.attacks,
-                                           setup.defenses, grid_options);
-}
-
 /// Planned shard count for the whole run, computed up front so progress
 /// lines can show "done/total" and an ETA before the loops start.
 int planned_shard_count(const ExperimentSpec& spec, std::size_t cloud_count,
@@ -454,8 +391,49 @@ int planned_shard_count(const ExperimentSpec& spec, std::size_t cloud_count,
 }
 
 // ---------------------------------------------------------------------------
-// run_spec's one worker pool
+// The shard executor: one worker pool, claims through a gate
 // ---------------------------------------------------------------------------
+
+/// Decides which live shards an executor computes, and when. The executor
+/// asks claim() before it queues a live shard's jobs and calls stored()
+/// once it has stored the shard. This base class is run_spec's gate: it
+/// claims everything, so every live shard is queued at the start (a noise
+/// shard once its calibration shard is done). run_spec_worker's LeaseGate
+/// claims shards by lease, on demand.
+class ShardGate {
+ public:
+  enum class Claim {
+    kCompute,  ///< queue the shard's jobs now
+    kStored,   ///< another process stored it meanwhile: replay it
+    kLater,    ///< not now; the next scan asks again
+  };
+
+  ShardGate() = default;
+  ShardGate(const ShardGate&) = delete;
+  ShardGate& operator=(const ShardGate&) = delete;
+  virtual ~ShardGate() = default;
+
+  /// Whether this executor runs the clean-accuracy jobs and assembles the
+  /// document (a worker leaves both to the merge pass).
+  virtual bool assembles() const { return true; }
+
+  /// The shard index, out of `shards`, at which every scan starts.
+  virtual std::size_t origin(std::size_t /*shards*/) const { return 0; }
+
+  /// Asked before live shard `key` is queued; `unfinished_jobs` are the
+  /// claimed jobs still queued or running.
+  virtual Claim claim(const std::string& /*key*/, std::size_t /*unfinished_jobs*/) {
+    return Claim::kCompute;
+  }
+
+  /// Told after shard `key` is stored.
+  virtual void stored(const std::string& /*key*/) {}
+
+  /// Called when no job is in flight but some live shard is unclaimed;
+  /// returns when another scan may claim it. run_spec claims everything it
+  /// can queue, so reaching this is a scheduling bug there.
+  virtual void wait() { throw std::logic_error("run_spec: a live shard was never queued"); }
+};
 
 /// A finished job, handed from a worker to the executor thread.
 struct JobDone {
@@ -489,12 +467,13 @@ class JobDoneQueue {
   std::deque<JobDone> queue_;
 };
 
-/// The executor side of a run_spec call, shared by every spec kind.
-/// Shards are the cache, progress and cancel unit; jobs on the call's one
-/// WorkerPool are the scheduling unit. A job writes its result by index
-/// into its shard, which was sized before the job was queued. This thread
-/// replays cached shards, collects finished jobs, and stores each shard
-/// as soon as its last job lands, then reports progress and polls cancel.
+/// The executor side of run_spec and run_spec_worker, shared by every spec
+/// kind. Shards are the cache, claim, progress and cancel unit; jobs on the
+/// call's one WorkerPool are the scheduling unit. A job writes its result
+/// by index into its shard, which was sized before the job was queued.
+/// This thread replays stored shards, offers live ones to the gate, queues
+/// the claimed ones, collects finished jobs, and stores each shard as soon
+/// as its last job lands, then reports progress and polls cancel.
 ///
 /// Declare it after everything its jobs reference: a cancel or a failed
 /// job unwinds through its destructor, which drops queued jobs and waits
@@ -504,45 +483,58 @@ class ShardJobs {
   /// Tag for a job that belongs to no shard (a clean-accuracy pass).
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
+  /// `keys[si]` is shard si's store key; `parse(si, json)` fills shard si
+  /// from its stored bytes and throws when they are unreadable.
   ShardJobs(const std::string& spec_name, ResultStore& store, const RunOptions& options,
-            ShardTelemetry& telemetry, RunOutcome& out, std::size_t shards)
+            ShardGate& gate, ShardTelemetry& telemetry, RunOutcome& out,
+            std::vector<std::string> keys, std::function<void(std::size_t, const Json&)> parse)
       : spec_name_(spec_name),
         store_(store),
         options_(options),
+        gate_(gate),
         telemetry_(telemetry),
         out_(out),
-        clocks_(shards) {}
+        keys_(std::move(keys)),
+        parse_(std::move(parse)),
+        done_(keys_.size(), 0),
+        clocks_(keys_.size()) {}
+
+  bool done(std::size_t si) const { return done_[si] != 0; }
 
   void poll_cancel() const {
     if (options_.cancel && options_.cancel()) throw RunCancelled(spec_name_);
   }
 
-  /// Replays the shard stored under `key`, unless RunOptions::force.
-  /// `parse` fills the shard from the stored JSON; a throw marks the bytes
-  /// unreadable and the shard is recomputed. Returns whether it replayed.
-  template <typename Parse>
-  bool replay(const std::string& key, Parse&& parse) {
-    if (options_.force) return false;
-    const std::int64_t start_ns = obs::trace::now_ns();
-    const auto cached = store_.get(key);
-    if (!cached) return false;
-    try {
-      parse(Json::parse(*cached));
-    } catch (const std::exception&) {
-      return false;
-    }
-    ++out_.shards_from_cache;
-    telemetry_.finish_shard(/*from_cache=*/true, start_ns, obs::trace::now_ns(), out_);
+  /// Replays every shard the store holds, unless RunOptions::force.
+  void replay_all() {
     poll_cancel();
-    return true;
+    if (options_.force) return;
+    for (std::size_t si = 0; si < keys_.size(); ++si) replay(si);
   }
 
-  /// Stores a computed shard and counts its attack steps; [start_ns,
+  /// Asks the gate for live shard si; true when this executor computes it
+  /// now. A shard another process stored meanwhile is replayed instead
+  /// (and computed after all when its bytes do not parse).
+  bool claim(std::size_t si) {
+    switch (gate_.claim(keys_[si], in_flight_)) {
+      case ShardGate::Claim::kCompute:
+        return true;
+      case ShardGate::Claim::kStored:
+        return !replay(si);
+      case ShardGate::Claim::kLater:
+        break;
+    }
+    return false;
+  }
+
+  /// Stores computed shard si and counts its attack steps; [start_ns,
   /// end_ns] is its work, from its first job's start to its last job's end.
-  void finish(const std::string& key, const std::string& bytes, long long steps,
+  void finish(std::size_t si, const std::string& bytes, long long steps,
               std::int64_t start_ns, std::int64_t end_ns) {
-    store_.put(key, bytes);
+    store_.put(keys_[si], bytes);
+    done_[si] = 1;
     out_.attack_steps += steps;
+    gate_.stored(keys_[si]);
     telemetry_.finish_shard(/*from_cache=*/false, start_ns, end_ns, out_);
     poll_cancel();
   }
@@ -572,26 +564,70 @@ class ShardJobs {
     });
   }
 
-  /// Collects jobs until none is queued or running and rethrows the first
-  /// failure. `on_shard_done(shard, start_ns, end_ns)` runs here when a
-  /// shard's last job lands; it may queue more jobs.
-  void collect(const std::function<void(std::size_t, std::int64_t, std::int64_t)>&
-                   on_shard_done) {
+  /// Runs every shard not yet done and rethrows the first failed job. A
+  /// scan walks the unclaimed shards from the gate's origin and queues,
+  /// through `queue(si)`, each one that is ready (`ready(si)`: the shards
+  /// it reads are done) and that the gate claims. Scans run at the start,
+  /// after every collected job and after every gate wait. When a shard's
+  /// last job lands, the scan runs before `on_shard_done(si, start_ns,
+  /// end_ns)` stores the shard, so its dependents are queued first.
+  void run(const std::function<bool(std::size_t)>& ready,
+           const std::function<void(std::size_t)>& queue,
+           const std::function<void(std::size_t, std::int64_t, std::int64_t)>& on_shard_done) {
+    std::vector<std::size_t> unclaimed;
+    const std::size_t origin = gate_.origin(keys_.size());
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      const std::size_t si = (origin + i) % keys_.size();
+      if (!done(si)) unclaimed.push_back(si);
+    }
+    const auto scan = [&] {
+      // A replayed shard may make others ready, so scan again after one.
+      for (bool replayed = true; replayed;) {
+        replayed = false;
+        for (auto it = unclaimed.begin(); it != unclaimed.end();) {
+          if (!ready(*it)) {
+            ++it;
+          } else if (claim(*it)) {
+            queue(*it);
+            it = unclaimed.erase(it);
+          } else if (done(*it)) {
+            replayed = true;
+            it = unclaimed.erase(it);
+          } else {
+            ++it;
+          }
+        }
+      }
+    };
     // Telemetry only: the executor's blocked time, so a trace tells it
     // apart from the executor's own work (pcss_trace does not count it busy).
     static const obs::trace::Label kWaitSpan = obs::trace::intern("runner.wait");
-    while (in_flight_ > 0) {
+    scan();
+    while (in_flight_ > 0 || !unclaimed.empty()) {
+      if (in_flight_ == 0) {
+        gate_.wait();
+        poll_cancel();
+        scan();
+        continue;
+      }
       JobDone done = [&] {
         const obs::trace::ScopedSpan wait(kWaitSpan);
         return finished_.pop();
       }();
       --in_flight_;
       if (done.error) std::rethrow_exception(done.error);
-      if (done.shard == kNoShard) continue;
-      Clock& clock = clocks_[done.shard];
-      clock.start_ns = std::min(clock.start_ns, done.start_ns);
-      clock.end_ns = std::max(clock.end_ns, done.end_ns);
-      if (--clock.pending == 0) on_shard_done(done.shard, clock.start_ns, clock.end_ns);
+      bool shard_done = false;
+      if (done.shard != kNoShard) {
+        Clock& clock = clocks_[done.shard];
+        clock.start_ns = std::min(clock.start_ns, done.start_ns);
+        clock.end_ns = std::max(clock.end_ns, done.end_ns);
+        shard_done = --clock.pending == 0;
+        if (shard_done) done_[done.shard] = 1;
+      }
+      scan();
+      if (shard_done) {
+        on_shard_done(done.shard, clocks_[done.shard].start_ns, clocks_[done.shard].end_ns);
+      }
     }
   }
 
@@ -602,11 +638,32 @@ class ShardJobs {
     std::int64_t end_ns = 0;
   };
 
+  /// Replays shard si from the store; returns whether it did.
+  bool replay(std::size_t si) {
+    const std::int64_t start_ns = obs::trace::now_ns();
+    const auto cached = store_.get(keys_[si]);
+    if (!cached) return false;
+    try {
+      parse_(si, Json::parse(*cached));
+    } catch (const std::exception&) {
+      return false;
+    }
+    done_[si] = 1;
+    ++out_.shards_from_cache;
+    telemetry_.finish_shard(/*from_cache=*/true, start_ns, obs::trace::now_ns(), out_);
+    poll_cancel();
+    return true;
+  }
+
   const std::string& spec_name_;
   ResultStore& store_;
   const RunOptions& options_;
+  ShardGate& gate_;
   ShardTelemetry& telemetry_;
   RunOutcome& out_;
+  std::vector<std::string> keys_;
+  std::function<void(std::size_t, const Json&)> parse_;
+  std::vector<char> done_;     ///< per shard: stored, replayed or its jobs all landed
   std::vector<Clock> clocks_;  ///< per shard
   std::size_t in_flight_ = 0;  ///< jobs queued or running
   JobDoneQueue finished_;
@@ -614,7 +671,7 @@ class ShardJobs {
 };
 
 /// Executes (or replays) a kDefenseGrid spec into `doc`/`out`. One
-/// (attack column, cloud) pair is one job on run_spec's pool:
+/// (attack column, cloud) pair is one job on the call's pool:
 /// core::DefenseGrid::run_job attacks cloud g on stream seed + g, applies
 /// every defense with defense_cell_seed at global g and lets every victim
 /// predict, so documents and shard files are invariant under any
@@ -622,11 +679,58 @@ class ShardJobs {
 void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
                           ResultStore& store, const RunOptions& options,
                           const std::string& key, std::span<const PointCloud> clouds,
-                          int shard_size, RunDocument& doc, RunOutcome& out,
+                          int shard_size, ShardGate& gate, RunDocument& doc, RunOutcome& out,
                           ShardTelemetry& telemetry) {
   const GridSetup setup = make_grid_setup(spec, provider, options);
   const pcss::core::DefenseGrid grid(*setup.source, setup.victims, setup.attacks,
                                      setup.defenses, spec.defense_seed);
+
+  struct GridShard {
+    std::size_t offset = 0, count = 0;
+    pcss::core::DefenseGridResult data;
+  };
+  std::vector<GridShard> shards;
+  std::vector<std::string> keys;
+  for (std::size_t offset = 0; offset < clouds.size();
+       offset += static_cast<std::size_t>(shard_size)) {
+    const std::size_t count =
+        std::min(static_cast<std::size_t>(shard_size), clouds.size() - offset);
+    shards.push_back({offset, count, {}});
+    keys.push_back(grid_shard_key(key, offset, count));
+  }
+  out.shards_total = static_cast<int>(shards.size());
+
+  ShardJobs jobs(spec.name, store, options, gate, telemetry, out, std::move(keys),
+                 [&](std::size_t si, const Json& j) {
+                   shards[si].data =
+                       grid_shard_from_json(j, setup.attacks.size(), setup.cell_count());
+                 });
+  jobs.replay_all();
+  std::size_t live_jobs = 0;
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    if (!jobs.done(si)) live_jobs += grid.attack_count() * shards[si].count;
+  }
+  jobs.start(live_jobs);
+  jobs.run([](std::size_t) { return true; },
+           [&](std::size_t si) {
+             shards[si].data = grid.blank_result(shards[si].count);
+             for (std::size_t ai = 0; ai < grid.attack_count(); ++ai) {
+               for (std::size_t i = 0; i < shards[si].count; ++i) {
+                 jobs.submit(si, [&, si, ai, i] {
+                   GridShard& shard = shards[si];
+                   const std::size_t g = shard.offset + i;
+                   grid.run_job(ai, clouds[g], g, options.plan, shard.data, i);
+                 });
+               }
+             }
+           },
+           [&](std::size_t si, std::int64_t start_ns, std::int64_t end_ns) {
+             const GridShard& shard = shards[si];
+             jobs.finish(si, grid_shard_to_json(shard.data).dump() + "\n",
+                         grid_steps(shard.data), start_ns, end_ns);
+           });
+  if (!gate.assembles()) return;
+
   doc.source_model = to_string(spec.models[0]);
   doc.defense_seed = spec.defense_seed;
   const pcss::core::DefenseGridResult labels = grid.blank_result(0);
@@ -639,53 +743,6 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
     result.defense = cell.defense;
     result.victim = cell.victim;
   }
-
-  struct GridShard {
-    std::size_t offset = 0, count = 0;
-    std::string key;
-    pcss::core::DefenseGridResult data;
-  };
-  std::vector<GridShard> shards;
-  for (std::size_t offset = 0; offset < clouds.size();
-       offset += static_cast<std::size_t>(shard_size)) {
-    const std::size_t count =
-        std::min(static_cast<std::size_t>(shard_size), clouds.size() - offset);
-    shards.push_back({offset, count, grid_shard_key(key, offset, count), {}});
-  }
-  out.shards_total = static_cast<int>(shards.size());
-
-  ShardJobs jobs(spec.name, store, options, telemetry, out, shards.size());
-  jobs.poll_cancel();
-  std::vector<std::size_t> live;
-  std::size_t live_jobs = 0;
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    GridShard& shard = shards[si];
-    if (!jobs.replay(shard.key, [&](const Json& j) {
-          shard.data = grid_shard_from_json(j, setup.attacks.size(), setup.cell_count());
-        })) {
-      shard.data = grid.blank_result(shard.count);
-      live.push_back(si);
-      live_jobs += grid.attack_count() * shard.count;
-    }
-  }
-  jobs.start(live_jobs);
-  for (std::size_t si : live) {
-    for (std::size_t ai = 0; ai < grid.attack_count(); ++ai) {
-      for (std::size_t i = 0; i < shards[si].count; ++i) {
-        jobs.submit(si, [&, si, ai, i] {
-          GridShard& shard = shards[si];
-          const std::size_t g = shard.offset + i;
-          grid.run_job(ai, clouds[g], g, options.plan, shard.data, i);
-        });
-      }
-    }
-  }
-  jobs.collect([&](std::size_t si, std::int64_t start_ns, std::int64_t end_ns) {
-    const GridShard& shard = shards[si];
-    jobs.finish(shard.key, grid_shard_to_json(shard.data).dump() + "\n",
-                grid_steps(shard.data), start_ns, end_ns);
-  });
-
   for (const GridShard& shard : shards) {
     for (std::size_t ai = 0; ai < shard.data.attacks.size(); ++ai) {
       const pcss::core::GridAttackTrace& trace = shard.data.attacks[ai];
@@ -732,10 +789,7 @@ void execute_defense_grid(const ExperimentSpec& spec, ModelProvider& provider,
 /// offset+count) of one (model, variant), or a whole shared-delta variant.
 struct TableShard {
   std::size_t mi = 0, vi = 0, offset = 0, count = 0;
-  std::string key;
   ShardData data;
-  bool done = false;
-  std::vector<std::size_t> calibrated;  ///< noise shards that read this one's L2
 };
 
 /// Index of the variant a noise baseline calibrates from: the first earlier
@@ -756,19 +810,19 @@ std::size_t calibration_source(const ExperimentSpec& spec, std::size_t vi) {
 
 /// Executes (or replays) a kAttackTable spec into `doc`/`out`.
 ///
-/// Every uncached cloud of every (model, variant) is one job on run_spec's
-/// pool, calling AttackEngine::run(cloud, seed + g) — the RNG stream
+/// Every claimed uncached cloud of every (model, variant) is one job on the
+/// call's pool, calling AttackEngine::run(cloud, seed + g) — the RNG stream
 /// run_batch would give it — so the pool never waits at a shard barrier.
 /// Each model's clean accuracy is one more job, so this thread never
 /// predicts. A noise shard's clouds are queued once its calibration shard
-/// has finished; a shared-delta variant stays one indivisible unit, run
-/// before the queue starts. Rows land by index, so documents and shard
-/// files are byte-identical for any thread count, shard size and
-/// completion order.
+/// is done; a shared-delta variant stays one indivisible unit, run before
+/// the queue starts (or, when a worker claims it later, as one job). Rows
+/// land by index, so documents and shard files are byte-identical for any
+/// thread count, shard size, completion order and worker count.
 void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
                           ResultStore& store, const RunOptions& options,
                           const std::string& key, const std::vector<PointCloud>& clouds,
-                          int shard_size, RunDocument& doc, RunOutcome& out,
+                          int shard_size, ShardGate& gate, RunDocument& doc, RunOutcome& out,
                           ShardTelemetry& telemetry) {
   const std::size_t variant_count = spec.variants.size();
   std::vector<std::shared_ptr<SegmentationModel>> models;
@@ -787,11 +841,8 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
   // for every per-cloud variant, so a noise shard reads exactly one
   // calibration shard: the same window of its source variant.
   std::vector<TableShard> shards;
+  std::vector<std::string> keys;
   std::vector<std::size_t> first_shard(spec.models.size() * variant_count, 0);
-  const auto calibration_shard = [&](const TableShard& shard) {
-    return first_shard[shard.mi * variant_count + calibration[shard.vi]] +
-           shard.offset / static_cast<std::size_t>(shard_size);
-  };
   for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
     for (std::size_t vi = 0; vi < variant_count; ++vi) {
       first_shard[mi * variant_count + vi] = shards.size();
@@ -799,20 +850,19 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
                                      ? clouds.size()
                                      : static_cast<std::size_t>(shard_size);
       for (std::size_t offset = 0; offset < clouds.size(); offset += stride) {
-        TableShard shard;
-        shard.mi = mi;
-        shard.vi = vi;
-        shard.offset = offset;
-        shard.count = std::min(stride, clouds.size() - offset);
-        shard.key = table_shard_key(key, mi, vi, offset, shard.count);
-        if (spec.variants[vi].kind == VariantKind::kNoiseBaseline) {
-          shards[calibration_shard(shard)].calibrated.push_back(shards.size());
-        }
-        shards.push_back(std::move(shard));
+        const std::size_t count = std::min(stride, clouds.size() - offset);
+        shards.push_back({mi, vi, offset, count, {}});
+        keys.push_back(table_shard_key(key, mi, vi, offset, count));
       }
     }
   }
   out.shards_total = static_cast<int>(shards.size());
+  const auto kind = [&](std::size_t si) { return spec.variants[shards[si].vi].kind; };
+  const auto calibration_shard = [&](std::size_t si) {
+    const TableShard& shard = shards[si];
+    return first_shard[shard.mi * variant_count + calibration[shard.vi]] +
+           shard.offset / static_cast<std::size_t>(shard_size);
+  };
 
   // One engine per (model, per-cloud variant), built on first use and
   // shared by that variant's jobs (AttackEngine::run is const).
@@ -820,61 +870,68 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
   const ExecPolicy job_policy{1, options.plan, {}};
   doc.models.resize(spec.models.size());  // before any job writes a section
 
-  ShardJobs jobs(spec.name, store, options, telemetry, out, shards.size());
-  const auto finish = [&](TableShard& shard, std::int64_t start_ns, std::int64_t end_ns) {
-    shard.done = true;
+  ShardJobs jobs(spec.name, store, options, gate, telemetry, out, std::move(keys),
+                 [&](std::size_t si, const Json& j) {
+                   shards[si].data = shard_from_json(j, kind(si));
+                 });
+  const auto finish = [&](std::size_t si, std::int64_t start_ns, std::int64_t end_ns) {
+    const TableShard& shard = shards[si];
     long long steps = 0;
-    if (spec.variants[shard.vi].kind == VariantKind::kSharedDelta) {
+    if (kind(si) == VariantKind::kSharedDelta) {
       steps = static_cast<long long>(shard.data.steps_used) *
               static_cast<long long>(shard.count);
     } else {
       for (const CaseRow& row : shard.data.rows) steps += row.steps;
     }
-    jobs.finish(shard.key, shard_to_json(shard.data, spec.variants[shard.vi].kind).dump() + "\n",
-                steps, start_ns, end_ns);
+    jobs.finish(si, shard_to_json(shard.data, kind(si)).dump() + "\n", steps, start_ns,
+                end_ns);
+  };
+  const auto compute_shared = [&](std::size_t si) {
+    shards[si].data = compute_shared_shard(*models[shards[si].mi], configs[shards[si].vi],
+                                           clouds, {options.num_threads, options.plan, {}});
   };
 
-  jobs.poll_cancel();
-  for (TableShard& shard : shards) {
-    shard.done = jobs.replay(shard.key, [&](const Json& j) {
-      shard.data = shard_from_json(j, spec.variants[shard.vi].kind);
-    });
-  }
+  jobs.replay_all();
 
-  // Every uncached shared-delta variant runs while the queue is still
-  // idle, on run_shared's own per-round pool.
-  for (TableShard& shard : shards) {
-    if (shard.done || spec.variants[shard.vi].kind != VariantKind::kSharedDelta) continue;
+  // Every claimed shared-delta variant runs while the queue is still idle,
+  // on run_shared's own per-round pool.
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    if (jobs.done(si) || kind(si) != VariantKind::kSharedDelta || !jobs.claim(si)) continue;
     const std::int64_t start_ns = obs::trace::now_ns();
-    shard.data = compute_shared_shard(*models[shard.mi], configs[shard.vi], clouds,
-                                      shard_policy(options));
-    finish(shard, start_ns, obs::trace::now_ns());
+    compute_shared(si);
+    finish(si, start_ns, obs::trace::now_ns());
   }
 
-  std::size_t live_jobs = spec.models.size();  // the clean-accuracy jobs
-  for (const TableShard& shard : shards) {
-    if (!shard.done) live_jobs += shard.count;
+  std::size_t live_jobs = gate.assembles() ? spec.models.size() : 0;  // clean accuracy
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    if (!jobs.done(si)) live_jobs += shards[si].count;
   }
   jobs.start(live_jobs);
-  for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
-    doc.models[mi].model = to_string(spec.models[mi]);
-    jobs.submit(ShardJobs::kNoShard, [&, mi] {
-      const SegMetrics clean = pcss::core::clean_metrics(*models[mi], clouds);
-      doc.models[mi].clean_accuracy = clean.accuracy;
-      doc.models[mi].clean_aiou = clean.aiou;
-    });
+  if (gate.assembles()) {
+    for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
+      doc.models[mi].model = to_string(spec.models[mi]);
+      jobs.submit(ShardJobs::kNoShard, [&, mi] {
+        const SegMetrics clean = pcss::core::clean_metrics(*models[mi], clouds);
+        doc.models[mi].clean_accuracy = clean.accuracy;
+        doc.models[mi].clean_aiou = clean.aiou;
+      });
+    }
   }
 
   const auto queue_shard = [&](std::size_t si) {
     TableShard& shard = shards[si];
+    if (kind(si) == VariantKind::kSharedDelta) {  // claimed by a worker after the start
+      jobs.submit(si, [&compute_shared, si] { compute_shared(si); });
+      return;
+    }
     const AttackEngine* engine = nullptr;
     const TableShard* source = nullptr;
-    if (spec.variants[shard.vi].kind == VariantKind::kPerCloud) {
+    if (kind(si) == VariantKind::kPerCloud) {
       auto& slot = engines[shard.mi * variant_count + shard.vi];
       if (!slot) slot = std::make_unique<AttackEngine>(*models[shard.mi], configs[shard.vi]);
       engine = slot.get();
     } else {
-      source = &shards[calibration_shard(shard)];
+      source = &shards[calibration_shard(si)];
     }
     shard.data.rows.resize(shard.count);
     for (std::size_t i = 0; i < shard.count; ++i) {
@@ -892,21 +949,12 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
       });
     }
   };
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    const TableShard& shard = shards[si];
-    if (!shard.done && (spec.variants[shard.vi].kind == VariantKind::kPerCloud ||
-                        shards[calibration_shard(shard)].done)) {
-      queue_shard(si);
-    }
-  }
-  jobs.collect([&](std::size_t si, std::int64_t start_ns, std::int64_t end_ns) {
-    // Queue the noise shards calibrated from this one before reporting,
-    // so the workers do not wait on the progress callback.
-    for (std::size_t dependent : shards[si].calibrated) {
-      if (!shards[dependent].done) queue_shard(dependent);
-    }
-    finish(shards[si], start_ns, end_ns);
-  });
+  jobs.run(
+      [&](std::size_t si) {
+        return kind(si) != VariantKind::kNoiseBaseline || jobs.done(calibration_shard(si));
+      },
+      queue_shard, finish);
+  if (!gate.assembles()) return;
 
   // Assemble the document in spec order.
   for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
@@ -939,6 +987,173 @@ void execute_attack_table(const ExperimentSpec& spec, ModelProvider& provider,
     }
   }
 }
+
+/// What run_spec and run_spec_worker share: loads the spec's clouds, fills
+/// the document header, freezes every model the spec touches for the whole
+/// call and executes the spec's shard plan, with `gate` deciding which live
+/// shards this process computes.
+RunDocument execute_spec(const ExperimentSpec& spec, ModelProvider& provider,
+                         ResultStore& store, const RunOptions& options,
+                         const std::string& key, ShardGate& gate, const WallTimer& timer,
+                         RunOutcome& out) {
+  const int shard_size = std::max(1, options.shard_size);
+  const std::vector<PointCloud> clouds =
+      provider.scenes(spec.dataset, options.scale.scenes, spec.scene_seed);
+
+  RunDocument doc;
+  doc.spec = spec.name;
+  doc.key = key;
+  doc.kind = to_string(spec.kind);
+  doc.scale = options.scale;
+  doc.dataset = to_string(spec.dataset);
+  doc.scene_seed = spec.scene_seed;
+  doc.scene_count = static_cast<int>(clouds.size());
+  doc.use_l0_distance = spec.use_l0_distance;
+
+  ShardTelemetry telemetry(options, timer,
+                           planned_shard_count(spec, clouds.size(), shard_size));
+
+  // Every model the spec touches is frozen once for the whole call, so the
+  // per-call freezes of the engine calls running concurrently on it find
+  // nothing to write (ScopedParamFreeze counts guards per model).
+  std::vector<std::shared_ptr<SegmentationModel>> held;
+  std::deque<pcss::core::ScopedParamFreeze> frozen;
+  for (const std::vector<ModelId>* ids : {&spec.models, &spec.victims}) {
+    for (ModelId id : *ids) {
+      held.push_back(provider.model(id));
+      frozen.emplace_back(*held.back());
+    }
+  }
+
+  if (spec.kind == SpecKind::kDefenseGrid) {
+    execute_defense_grid(spec, provider, store, options, key,
+                         std::span<const PointCloud>(clouds), shard_size, gate, doc, out,
+                         telemetry);
+  }
+
+  if (spec.kind == SpecKind::kAttackTable) {
+    execute_attack_table(spec, provider, store, options, key, clouds, shard_size, gate, doc,
+                         out, telemetry);
+  }
+  return doc;
+}
+
+/// run_spec_worker's gate. It claims a shard by lease only while the pool
+/// runs short of work, so that claimed but unfinished jobs stay at or above
+/// the pool's thread count; it puts a shard, then releases its lease, and
+/// renews every lease it still holds at each shard boundary.
+class LeaseGate final : public ShardGate {
+ public:
+  LeaseGate(ResultStore& store, const WorkerConfig& config, const std::string& spec_name,
+            WorkerOutcome& out)
+      : store_(store),
+        leases_(store.root() + "/leases", config.worker_id, config.lease_ttl_ns),
+        // Chaos salt = (worker, spec): each worker replays its own decision
+        // stream, and a two-spec run does not reuse the first spec's stream.
+        chaos_(ChaosMonkey::from_env(config.worker_id + "|" + spec_name)),
+        origin_hash_(Fnv64().update(config.worker_id).value()),
+        threads_(static_cast<std::size_t>(pcss::core::resolve_threads(config.run.num_threads))),
+        ttl_ns_(config.lease_ttl_ns),
+        cancel_(config.run.cancel),
+        out_(out) {}
+
+  /// Releases what is still held when a cancel or a failure unwinds.
+  ~LeaseGate() override {
+    for (const auto& entry : held_) leases_.release(entry.second.lease);
+  }
+
+  bool assembles() const override { return false; }
+
+  /// Worker-specific scan origin: all workers sweep the same plan, so a
+  /// per-worker rotation spreads first claims across the plan instead of
+  /// stacking every worker onto shard 0's lease.
+  std::size_t origin(std::size_t shards) const override {
+    return shards == 0 ? 0 : static_cast<std::size_t>(origin_hash_ % shards);
+  }
+
+  Claim claim(const std::string& key, std::size_t unfinished_jobs) override {
+    if (unfinished_jobs >= threads_) return Claim::kLater;
+    if (store_.contains(key)) return stored_elsewhere();
+    if (leaseless_) return Claim::kCompute;
+    const std::string lease = key.substr(key.find_last_of('/') + 1) + ".lease";
+    const LeaseManager::Acquire acquired = leases_.try_acquire(lease);
+    if (acquired == LeaseManager::Acquire::kBusy) return Claim::kLater;
+    // Another worker may have put the shard and released its lease since
+    // the probe above.
+    if (store_.contains(key)) {
+      leases_.release(lease);
+      return stored_elsewhere();
+    }
+    held_[key] = {lease, acquired == LeaseManager::Acquire::kStolen};
+    // Chaos crash point A: die holding the lease with the shard missing —
+    // the worst crash a steal must recover from.
+    chaos_.maybe_kill();
+    return Claim::kCompute;
+  }
+
+  void stored(const std::string& key) override {
+    ++out_.shards_computed;
+    last_progress_ns_ = obs::trace::now_ns();
+    const auto it = held_.find(key);
+    if (it != held_.end()) {
+      leases_.release(it->second.lease);
+      if (it->second.stolen) {
+        ++out_.shards_stolen;
+        stolen_counter_.add(1);
+      }
+      held_.erase(it);
+    }
+    // Chaos crash point B: die at the completed-shard boundary — the
+    // shard landed atomically, so a restarted run resumes past it.
+    chaos_.maybe_kill();
+    for (const auto& entry : held_) leases_.renew(entry.second.lease);
+  }
+
+  /// Every unclaimed shard is busy-leased elsewhere: wait for the holders'
+  /// puts to surface, or for their leases to go stale (the next scan
+  /// steals those). Every shard this worker claimed is stored by now, so
+  /// no lease is held while waiting and nobody ever waits on a waiter.
+  void wait() override {
+    ++out_.passes;
+    if (obs::trace::now_ns() - last_progress_ns_ > ttl_ns_ + 5LL * 1000 * 1000 * 1000) {
+      // A full TTL plus margin with zero progress: stale leases should
+      // have been stolen long ago, so leasing itself is broken (e.g. an
+      // unwritable lease directory). Correctness never depended on the
+      // leases: claim the stragglers without one, at worst duplicating
+      // byte-identical work.
+      leaseless_ = true;
+      return;
+    }
+    timespec ts{0, 100L * 1000 * 1000};  // 100 ms between scans
+    while (::nanosleep(&ts, &ts) == -1 && errno == EINTR) {
+      if (cancel_ && cancel_()) return;
+    }
+  }
+
+ private:
+  struct Held {
+    std::string lease;
+    bool stolen = false;
+  };
+
+  Claim stored_elsewhere() {
+    last_progress_ns_ = obs::trace::now_ns();
+    return Claim::kStored;
+  }
+
+  ResultStore& store_;
+  LeaseManager leases_;
+  ChaosMonkey chaos_;
+  std::uint64_t origin_hash_;
+  std::size_t threads_;
+  std::int64_t ttl_ns_;
+  const std::function<bool()>& cancel_;
+  WorkerOutcome& out_;
+  std::map<std::string, Held> held_;  ///< by shard key
+  bool leaseless_ = false;
+  std::int64_t last_progress_ns_ = obs::trace::now_ns();
+  obs::metrics::Counter& stolen_counter_ = obs::metrics::counter("runner.shards.stolen");
+};
 
 }  // namespace
 
@@ -1155,47 +1370,8 @@ RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
     }
   }
 
-  const int shard_size = std::max(1, options.shard_size);
-  const std::vector<PointCloud> clouds =
-      provider.scenes(spec.dataset, options.scale.scenes, spec.scene_seed);
-  const std::span<const PointCloud> cloud_span(clouds);
-
-  RunDocument doc;
-  doc.spec = spec.name;
-  doc.key = key;
-  doc.kind = to_string(spec.kind);
-  doc.scale = options.scale;
-  doc.dataset = to_string(spec.dataset);
-  doc.scene_seed = spec.scene_seed;
-  doc.scene_count = static_cast<int>(clouds.size());
-  doc.use_l0_distance = spec.use_l0_distance;
-
-  ShardTelemetry telemetry(options, timer,
-                           planned_shard_count(spec, clouds.size(), shard_size));
-
-  // Every model the spec touches is frozen once for the whole call, so the
-  // per-call freezes of the engine calls running concurrently on it find
-  // nothing to write (ScopedParamFreeze counts guards per model).
-  std::vector<std::shared_ptr<SegmentationModel>> held;
-  std::deque<pcss::core::ScopedParamFreeze> frozen;
-  for (const std::vector<ModelId>* ids : {&spec.models, &spec.victims}) {
-    for (ModelId id : *ids) {
-      held.push_back(provider.model(id));
-      frozen.emplace_back(*held.back());
-    }
-  }
-
-  if (spec.kind == SpecKind::kDefenseGrid) {
-    execute_defense_grid(spec, provider, store, options, key, cloud_span, shard_size, doc,
-                         out, telemetry);
-  }
-
-  if (spec.kind == SpecKind::kAttackTable) {
-    execute_attack_table(spec, provider, store, options, key, clouds, shard_size, doc, out,
-                         telemetry);
-  }
-
-  out.document = std::move(doc);
+  ShardGate claim_all;
+  out.document = execute_spec(spec, provider, store, options, key, claim_all, timer, out);
   out.json = document_to_json(out.document).dump() + "\n";
   store.put(doc_key, out.json);
   out.wall_seconds = timer.seconds();
@@ -1213,7 +1389,7 @@ RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
   perf.set("shards_total", out.shards_total);
   perf.set("shards_from_cache", out.shards_from_cache);
   perf.set("num_threads", options.num_threads);
-  perf.set("shard_size", shard_size);
+  perf.set("shard_size", std::max(1, options.shard_size));
   perf.set("fast", options.fast);
   perf.set("plan", options.plan);
   // Tensor buffer-pool telemetry, aggregated over every pool slot (one
@@ -1263,291 +1439,29 @@ RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
   return out;
 }
 
-namespace {
-
-/// One claimable unit of a multi-process run: enough indices to
-/// recompute the shard from global seeds, plus its store key.
-struct WorkerShard {
-  bool grid = false;
-  std::size_t mi = 0, vi = 0;       ///< attack-table coordinates
-  std::size_t offset = 0, count = 0;
-  std::string key;                  ///< "shards/....json"
-};
-
-std::string lease_name_for(const WorkerShard& shard) {
-  const std::size_t slash = shard.key.find_last_of('/');
-  return (slash == std::string::npos ? shard.key : shard.key.substr(slash + 1)) +
-         ".lease";
-}
-
-/// The worker loop's compute context: enumerates the spec's shard plan
-/// (same enumeration as run_spec — the shared key helpers make drift a
-/// compile-time impossibility) and computes any shard's payload bytes
-/// on demand. Models and the grid setup materialize lazily, so a worker
-/// whose every shard is already stored never builds a model.
-class WorkerPlanner {
- public:
-  WorkerPlanner(const ExperimentSpec& spec, ModelProvider& provider,
-                const RunOptions& options, std::string key,
-                std::span<const PointCloud> clouds)
-      : spec_(spec),
-        provider_(provider),
-        options_(options),
-        key_(std::move(key)),
-        clouds_(clouds) {}
-
-  std::vector<WorkerShard> plan() const {
-    std::vector<WorkerShard> shards;
-    const auto shard_size = static_cast<std::size_t>(std::max(1, options_.shard_size));
-    if (spec_.kind == SpecKind::kDefenseGrid) {
-      for (std::size_t offset = 0; offset < clouds_.size(); offset += shard_size) {
-        const std::size_t count = std::min(shard_size, clouds_.size() - offset);
-        WorkerShard shard;
-        shard.grid = true;
-        shard.offset = offset;
-        shard.count = count;
-        shard.key = grid_shard_key(key_, offset, count);
-        shards.push_back(std::move(shard));
-      }
-      return shards;
-    }
-    for (std::size_t mi = 0; mi < spec_.models.size(); ++mi) {
-      for (std::size_t vi = 0; vi < spec_.variants.size(); ++vi) {
-        const std::size_t stride = spec_.variants[vi].kind == VariantKind::kSharedDelta
-                                       ? clouds_.size()
-                                       : shard_size;
-        for (std::size_t offset = 0; offset < clouds_.size(); offset += stride) {
-          const std::size_t count = std::min(stride, clouds_.size() - offset);
-          WorkerShard shard;
-          shard.mi = mi;
-          shard.vi = vi;
-          shard.offset = offset;
-          shard.count = count;
-          shard.key = table_shard_key(key_, mi, vi, offset, count);
-          shards.push_back(std::move(shard));
-        }
-      }
-    }
-    return shards;
-  }
-
-  /// The exact bytes run_spec would have stored under shard.key, with
-  /// live optimization steps counted into `steps`.
-  std::string compute_payload(const WorkerShard& shard, ResultStore& store,
-                              long long& steps) {
-    if (shard.grid) {
-      const pcss::core::DefenseGridResult data =
-          compute_grid_shard(grid(), spec_, clouds_, shard.offset, shard.count,
-                             shard_policy(options_));
-      steps += grid_steps(data);
-      return grid_shard_to_json(data).dump() + "\n";
-    }
-    const ShardData data = compute_table_shard(shard, store, steps);
-    return shard_to_json(data, spec_.variants[shard.vi].kind).dump() + "\n";
-  }
-
- private:
-  ShardData compute_table_shard(const WorkerShard& shard, ResultStore& store,
-                                long long& steps) {
-    const AttackVariant& variant = spec_.variants[shard.vi];
-    const AttackConfig config = scaled_config(variant, options_.scale);
-    SegmentationModel& model = *this->model(shard.mi);
-    switch (variant.kind) {
-      case VariantKind::kPerCloud: {
-        const ShardData data =
-            compute_attack_shard(model, config, clouds_, shard.offset, shard.count,
-                                 spec_.use_l0_distance, shard_policy(options_));
-        for (const CaseRow& row : data.rows) steps += row.steps;
-        return data;
-      }
-      case VariantKind::kSharedDelta: {
-        const ShardData data =
-            compute_shared_shard(model, config, clouds_, shard_policy(options_));
-        steps += static_cast<long long>(data.steps_used) *
-                 static_cast<long long>(shard.count);
-        return data;
-      }
-      case VariantKind::kNoiseBaseline:
-        break;  // below: needs the calibration source shard first
-    }
-    // The noise baseline calibrates to the calibrate_from variant's
-    // per-cloud L2 at the same global offsets, and the partition is
-    // identical across variants — so the source lives in exactly one
-    // shard: the same (offset, count) window one variant column over.
-    // It is an ordinary store entry: fetched when present, computed and
-    // stored when not (a worker that claims a noise shard before anyone
-    // computed its source simply does both — byte-identical either way).
-    WorkerShard source = shard;
-    source.vi = calibrate_index(shard.vi);
-    source.key = table_shard_key(key_, source.mi, source.vi, source.offset, source.count);
-    const VariantKind source_kind = spec_.variants[source.vi].kind;
-    ShardData source_data;
-    bool have_source = false;
-    if (auto cached = store.get(source.key)) {
-      try {
-        source_data = shard_from_json(Json::parse(*cached), source_kind);
-        have_source = true;
-      } catch (const std::exception&) {
-        // torn or foreign bytes: recompute below
-      }
-    }
-    if (!have_source) {
-      source_data = compute_table_shard(source, store, steps);
-      store.put(source.key, shard_to_json(source_data, source_kind).dump() + "\n");
-    }
-    std::vector<double> calibration(clouds_.size(), 0.0);
-    for (std::size_t i = 0; i < source_data.rows.size(); ++i) {
-      calibration[shard.offset + i] = source_data.rows[i].l2_color;
-    }
-    return compute_noise_shard(model, variant, config, clouds_, shard.offset, shard.count,
-                               spec_.use_l0_distance, calibration);
-  }
-
-  std::size_t calibrate_index(std::size_t vi) const {
-    const AttackVariant& variant = spec_.variants[vi];
-    for (std::size_t i = 0; i < vi; ++i) {
-      if (spec_.variants[i].label == variant.calibrate_from) return i;
-    }
-    throw std::invalid_argument("run_spec: variant '" + variant.label +
-                                "' calibrates from '" + variant.calibrate_from +
-                                "', which is not an earlier variant of spec '" +
-                                spec_.name + "'");
-  }
-
-  std::shared_ptr<SegmentationModel> model(std::size_t mi) {
-    auto it = models_.find(mi);
-    if (it != models_.end()) return it->second;
-    auto built = provider_.model(spec_.models[mi]);
-    models_.emplace(mi, built);
-    return built;
-  }
-
-  const GridSetup& grid() {
-    if (!grid_built_) {
-      grid_ = make_grid_setup(spec_, provider_, options_);
-      grid_built_ = true;
-    }
-    return grid_;
-  }
-
-  const ExperimentSpec& spec_;
-  ModelProvider& provider_;
-  const RunOptions& options_;
-  std::string key_;
-  std::span<const PointCloud> clouds_;
-  std::map<std::size_t, std::shared_ptr<SegmentationModel>> models_;
-  GridSetup grid_;
-  bool grid_built_ = false;
-};
-
-}  // namespace
-
 WorkerOutcome run_spec_worker(const ExperimentSpec& spec, ModelProvider& provider,
                               ResultStore& store, const WorkerConfig& config) {
+  if (config.run.force) {
+    throw std::invalid_argument(
+        "run_spec_worker: force is not a worker option; erase the spec's document and "
+        "shard files before starting the workers");
+  }
   WorkerOutcome out;
-  const auto cancelled = [&] { return config.run.cancel && config.run.cancel(); };
   const std::string key = run_key(spec, config.run.scale, provider);
-  if (!config.run.force && store.contains(key + ".json")) {
+  if (store.contains(key + ".json")) {
     out.doc_cached = true;  // assembled document exists: nothing to claim
     return out;
   }
-  const std::vector<PointCloud> clouds =
-      provider.scenes(spec.dataset, config.run.scale.scenes, spec.scene_seed);
-  WorkerPlanner planner(spec, provider, config.run, key,
-                        std::span<const PointCloud>(clouds));
-  const std::vector<WorkerShard> plan = planner.plan();
-  LeaseManager leases(store.root() + "/leases", config.worker_id, config.lease_ttl_ns);
-  // Chaos salt = (worker, spec): each worker replays its own decision
-  // stream, and a two-spec run does not reuse the first spec's stream.
-  ChaosMonkey chaos = ChaosMonkey::from_env(config.worker_id + "|" + spec.name);
-  obs::metrics::Counter& computed_counter = obs::metrics::counter("runner.shards.computed");
-  obs::metrics::Counter& stolen_counter = obs::metrics::counter("runner.shards.stolen");
-  // Worker-specific scan origin: all workers sweep the same plan, so a
-  // per-worker rotation spreads first claims across the plan instead of
-  // stacking every worker onto shard 0's lease.
-  const std::size_t origin =
-      plan.empty() ? 0 : Fnv64().update(config.worker_id).value() % plan.size();
-  bool force_pass = config.run.force;
-  std::int64_t last_progress_ns = obs::trace::now_ns();
-  for (;;) {
-    ++out.passes;
-    int missing = 0;
-    int computed = 0;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      const WorkerShard& shard = plan[(origin + i) % plan.size()];
-      if (cancelled()) {
-        out.cancelled = true;  // no lease is held between shards
-        return out;
-      }
-      if (!force_pass && store.contains(shard.key)) continue;
-      ++missing;
-      const std::string lease = lease_name_for(shard);
-      const LeaseManager::Acquire acquired = leases.try_acquire(lease);
-      if (acquired == LeaseManager::Acquire::kBusy) continue;
-      // Chaos crash point A: die holding the lease with the shard
-      // missing — the worst crash a steal must recover from.
-      chaos.maybe_kill();
-      long long steps = 0;
-      const std::string payload = planner.compute_payload(shard, store, steps);
-      store.put(shard.key, payload);
-      leases.release(lease);
-      ++computed;
-      ++out.shards_computed;
-      out.attack_steps += steps;
-      computed_counter.add(1);
-      if (acquired == LeaseManager::Acquire::kStolen) {
-        ++out.shards_stolen;
-        stolen_counter.add(1);
-      }
-      // Chaos crash point B: die at the completed-shard boundary — the
-      // shard landed atomically, so a restarted run resumes past it.
-      chaos.maybe_kill();
-    }
-    force_pass = false;
-    if (cancelled()) {
-      out.cancelled = true;
-      return out;
-    }
-    if (missing == 0) break;  // full scan saw every shard in the store
-    if (computed > 0) {
-      last_progress_ns = obs::trace::now_ns();
-      continue;  // rescan immediately; more may have freed up meanwhile
-    }
-    // Every missing shard is busy-leased elsewhere: wait for the
-    // holders' puts to surface, or for their leases to go stale (the
-    // next scan steals those). No lease is held while waiting, so
-    // nobody ever waits on a waiter.
-    if (obs::trace::now_ns() - last_progress_ns >
-        config.lease_ttl_ns + 5LL * 1000 * 1000 * 1000) {
-      // A full TTL plus margin with zero progress: stale leases should
-      // have been stolen long ago, so leasing itself is broken (e.g.
-      // unwritable lease directory). Correctness never depended on the
-      // leases — compute the stragglers directly, at worst duplicating
-      // byte-identical work.
-      for (std::size_t i = 0; i < plan.size(); ++i) {
-        const WorkerShard& shard = plan[(origin + i) % plan.size()];
-        if (cancelled()) {
-          out.cancelled = true;
-          return out;
-        }
-        if (store.contains(shard.key)) continue;
-        long long steps = 0;
-        const std::string payload = planner.compute_payload(shard, store, steps);
-        store.put(shard.key, payload);
-        ++out.shards_computed;
-        out.attack_steps += steps;
-        computed_counter.add(1);
-      }
-      continue;  // the next scan finds nothing missing and exits
-    }
-    timespec ts{0, 100L * 1000 * 1000};  // 100 ms between scans
-    while (::nanosleep(&ts, &ts) == -1 && errno == EINTR) {
-      if (cancelled()) {
-        out.cancelled = true;
-        return out;
-      }
-    }
+  out.passes = 1;
+  const WallTimer timer;
+  LeaseGate gate(store, config, spec.name, out);
+  RunOutcome run;
+  try {
+    execute_spec(spec, provider, store, config.run, key, gate, timer, run);
+  } catch (const RunCancelled&) {
+    out.cancelled = true;  // the gate releases the leases it holds
   }
+  out.attack_steps = run.attack_steps;
   return out;
 }
 

@@ -59,64 +59,24 @@ struct RunOptions {
   /// specs).
   bool plan = true;
 
-  std::function<void(const ShardProgress&)> on_progress;  ///< may be empty
+  std::function<void(const ShardProgress&)> on_progress{};  ///< may be empty
 
   /// Graceful-cancel poll, checked at shard boundaries only (mid-shard
   /// state never hits the store, so cancelling between shards is always
   /// resumable). When it returns true, run_spec throws RunCancelled and
   /// run_spec_worker stops claiming and returns with `cancelled` set.
   /// Like on_progress, it can observe but never perturb document bytes.
-  std::function<bool()> cancel;  ///< may be empty (= never cancel)
+  std::function<bool()> cancel{};  ///< may be empty (= never cancel)
 };
 
-/// Fluent one-stop construction of RunOptions, shared by every entry
-/// point (pcss_run, pcss_serve, the worker fixture, tests) so the
-/// fast-flag/scale pairing cannot drift between them: fast(bool) sets
-/// BOTH the informational flag and the matching Scale in one call, which
-/// is the invariant the hand-rolled call sites kept re-implementing.
-class RunOptionsBuilder {
- public:
-  /// fast(f) in one call: the flag and its scale_for(f) sizing.
-  RunOptionsBuilder& fast(bool f) {
-    options_.fast = f;
-    options_.scale = scale_for(f);
-    return *this;
-  }
-  /// Explicit sizing override (tiny test scales); keeps `fast` as-is.
-  RunOptionsBuilder& scale(const Scale& s) {
-    options_.scale = s;
-    return *this;
-  }
-  RunOptionsBuilder& force(bool f = true) {
-    options_.force = f;
-    return *this;
-  }
-  RunOptionsBuilder& threads(int n) {
-    options_.num_threads = n;
-    return *this;
-  }
-  RunOptionsBuilder& shard_size(int n) {
-    options_.shard_size = n;
-    return *this;
-  }
-  RunOptionsBuilder& plan(bool enabled) {
-    options_.plan = enabled;
-    return *this;
-  }
-  RunOptionsBuilder& on_progress(std::function<void(const ShardProgress&)> fn) {
-    options_.on_progress = std::move(fn);
-    return *this;
-  }
-  RunOptionsBuilder& cancel(std::function<bool()> fn) {
-    options_.cancel = std::move(fn);
-    return *this;
-  }
-
-  RunOptions build() const { return options_; }
-
- private:
-  RunOptions options_;
-};
+/// `options` with its scale set to scale_for(options.fast). Every entry
+/// point (pcss_run, pcss_serve) builds its RunOptions through this, so the
+/// fast flag and the sizing it names cannot drift apart:
+///   scaled_options({.fast = fast, .num_threads = threads})
+inline RunOptions scaled_options(RunOptions options) {
+  options.scale = scale_for(options.fast);
+  return options;
+}
 
 /// Thrown by run_spec when RunOptions::cancel fires: every finished
 /// shard is already cached, so rerunning the same command resumes where
@@ -272,34 +232,43 @@ RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
 struct WorkerConfig {
   RunOptions run;
   std::string worker_id = "worker";
-  /// Staleness deadline for lease stealing; must comfortably exceed one
-  /// shard's compute time, since workers heartbeat between shards, not
-  /// during them.
+  /// Staleness deadline for lease stealing. A worker renews every lease
+  /// it holds at each of its shard boundaries, not during a job, so this
+  /// must comfortably exceed the longest gap between two boundaries: one
+  /// shard's compute time when it runs alone.
   std::int64_t lease_ttl_ns = 300LL * 1000 * 1000 * 1000;
 };
 
 struct WorkerOutcome {
   int shards_computed = 0;
   int shards_stolen = 0;  ///< of shards_computed, claimed via a stale lease
-  int passes = 0;         ///< plan scans (>= 2 when any shard was missing)
+  int passes = 0;         ///< 1, plus one per wait for shards busy elsewhere
   long long attack_steps = 0;
   bool cancelled = false;
   bool doc_cached = false;  ///< the assembled document already existed
 };
 
-/// The claim/compute half of a multi-process run. Scans the spec's
-/// shard plan (same enumeration as run_spec), and for every shard still
-/// missing from the store: claims its lease, computes it from the
-/// global-index seeds, puts it, releases the lease. kBusy leases are
-/// skipped — another worker owns that shard — and stale leases (dead or
-/// straggling owner) are stolen. The loop re-scans until every shard
-/// exists, waiting briefly when all missing shards are busy elsewhere,
-/// so a worker returns only when the plan is complete (or cancelled).
+/// The claim/compute half of a multi-process run. Executes the spec's
+/// shard plan through the same executor as run_spec, on a pool of
+/// `run.num_threads` workers, but claims each missing shard by lease
+/// instead of computing it outright. It claims on demand: whenever the
+/// claimed but unfinished jobs drop below the thread count, the next scan
+/// (from a worker-specific origin) claims more. A noise shard is claimed
+/// once its calibration shard is stored or finished here. Each finished
+/// shard is put, then its lease released, and every lease still held is
+/// renewed. kBusy leases are skipped — another worker owns that shard —
+/// and stale leases (dead or straggling owner) are stolen. When every
+/// unclaimed shard is busy elsewhere, the worker waits 100 ms and scans
+/// again, so it returns only when the plan is complete (or cancelled).
+/// Clean accuracy and the document are left to the merge pass.
 ///
 /// Correctness never depends on the leases: a stolen or duplicated
 /// shard recomputes the same bytes (the seed-offset invariant run_spec
 /// documents), so the subsequent merge — run_spec over the now-warm
 /// store — is byte-identical to a single-process run by construction.
+/// Throws std::invalid_argument when `run.force` is set: a forced
+/// multi-process run erases the spec's document and shards before it
+/// starts its workers.
 WorkerOutcome run_spec_worker(const ExperimentSpec& spec, ModelProvider& provider,
                               ResultStore& store, const WorkerConfig& config);
 

@@ -465,7 +465,6 @@ TEST(DefenseGridTest, CellsAndAttacksIdenticalAtThreadCount1And4) {
 
   DefenseGridOptions one;
   one.defense_seed = 77;
-  one.cloud_index_base = 5;
   one.policy.threads = 1;
   DefenseGridOptions four = one;
   four.policy.threads = 4;
@@ -493,35 +492,6 @@ TEST(DefenseGridTest, CellsAndAttacksIdenticalAtThreadCount1And4) {
     EXPECT_EQ(serial.attacks[ai].steps, pooled.attacks[ai].steps);
   }
   EXPECT_GT(pooled.attacks[1].steps[0], 0) << "the attack column must actually attack";
-}
-
-TEST(DefenseGridTest, CloudIndexBaseMakesShardingInvisible) {
-  auto source = tiny_model(11);
-  std::vector<pcss::data::PointCloud> clouds;
-  for (int i = 0; i < 4; ++i) clouds.push_back(scene(96, 30 + static_cast<unsigned>(i)));
-
-  const std::vector<GridVictim> victims = {{"source", source.get()}};
-  const std::vector<GridAttack> attacks = {{"bounded", false, small_bounded_config()}};
-  std::vector<GridDefense> defenses;
-  DefensePipeline srs;
-  srs.add(make_srs_fraction_stage(0.1f));
-  defenses.push_back({"srs", srs});
-
-  DefenseGridOptions whole;
-  whole.policy.threads = 1;
-  const DefenseGridResult all =
-      evaluate_defense_grid(*source, victims, clouds, attacks, defenses, whole);
-
-  DefenseGridOptions tail = whole;
-  tail.cloud_index_base = 2;
-  const DefenseGridResult back = evaluate_defense_grid(
-      *source, victims, std::span<const PointCloud>(clouds).subspan(2), attacks, defenses,
-      tail);
-  for (size_t g = 0; g < 2; ++g) {
-    EXPECT_EQ(all.cells[0].cases[2 + g].accuracy, back.cells[0].cases[g].accuracy);
-    EXPECT_EQ(all.cells[0].cases[2 + g].points_kept, back.cells[0].cases[g].points_kept);
-    EXPECT_EQ(all.attacks[0].l2_color[2 + g], back.attacks[0].l2_color[g]);
-  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,13 +119,16 @@ inline pcss::runner::ExperimentSpec mini_grid_spec() {
   return spec;
 }
 
+/// The fixture spec called `name`: "mini", "mini_shared" or "mini_grid".
+inline pcss::runner::ExperimentSpec fixture_spec(const std::string& name) {
+  if (name == "mini") return mini_spec();
+  if (name == "mini_shared") return mini_shared_spec();
+  if (name == "mini_grid") return mini_grid_spec();
+  throw std::invalid_argument("unknown fixture spec '" + name + "'");
+}
+
 inline pcss::runner::RunOptions tiny_options() {
-  return pcss::runner::RunOptionsBuilder()
-      .fast(true)
-      .scale(tiny_scale())
-      .threads(1)
-      .shard_size(2)
-      .build();
+  return {.scale = tiny_scale(), .fast = true, .num_threads = 1, .shard_size = 2};
 }
 
 }  // namespace pcss_tests

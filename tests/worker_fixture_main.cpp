@@ -59,18 +59,8 @@ int main(int argc, char** argv) {
     config.run = pcss_tests::tiny_options();
     config.worker_id = worker_id;
     config.lease_ttl_ns = ttl_ms * 1000000LL;
-    ExperimentSpec spec;
-    if (spec_name == "mini") {
-      spec = pcss_tests::mini_spec();
-    } else if (spec_name == "mini_shared") {
-      spec = pcss_tests::mini_shared_spec();
-    } else if (spec_name == "mini_grid") {
-      spec = pcss_tests::mini_grid_spec();
-    } else {
-      std::fprintf(stderr, "worker_fixture: unknown spec '%s'\n", spec_name.c_str());
-      return 2;
-    }
-    const WorkerOutcome out = run_spec_worker(spec, provider, store, config);
+    const WorkerOutcome out =
+        run_spec_worker(pcss_tests::fixture_spec(spec_name), provider, store, config);
     std::printf("computed=%d stolen=%d passes=%d cancelled=%d doc_cached=%d\n",
                 out.shards_computed, out.shards_stolen, out.passes, out.cancelled ? 1 : 0,
                 out.doc_cached ? 1 : 0);

@@ -10,6 +10,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pcss/runner/executor.h"
@@ -31,7 +33,9 @@ namespace {
 namespace fs = std::filesystem;
 using namespace pcss::runner;
 using pcss_tests::TinyProvider;
+using pcss_tests::fixture_spec;
 using pcss_tests::mini_grid_spec;
+using pcss_tests::mini_shared_spec;
 using pcss_tests::mini_spec;
 using pcss_tests::tiny_options;
 using pcss_tests::tiny_scale;
@@ -96,9 +100,9 @@ class TempStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    root_ = (fs::temp_directory_path() /
-             (std::string("pcss_worker_") + info->test_suite_name() + "_" + info->name()))
-                .string();
+    std::string name = std::string("pcss_worker_") + info->test_suite_name() + "_" + info->name();
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterised names
+    root_ = (fs::temp_directory_path() / name).string();
     fs::remove_all(root_);
   }
   void TearDown() override {
@@ -245,13 +249,9 @@ TEST_F(WorkerLoopTest, WorkerComputesEveryShardThenMergeIsPureReplay) {
   config.worker_id = "w0";
   config.lease_ttl_ns = kLongTtl;
   const WorkerOutcome out = run_spec_worker(spec, provider, store, config);
-  // The plan has 4 shards (2 variants x ceil(3 clouds / shard_size 2)),
-  // but a noise shard computed first stores its calibration source (a
-  // bounded shard) inline, which that shard's own claim then sees as a
-  // cache hit — so the claimed-and-computed count is scan-order
-  // dependent. Completeness is asserted through the merge below.
-  EXPECT_GE(out.shards_computed, 2);
-  EXPECT_LE(out.shards_computed, 4);
+  // 2 variants x ceil(3 clouds / shard_size 2); a noise shard waits for
+  // its calibration shard instead of computing it inline.
+  EXPECT_EQ(out.shards_computed, 4);
   EXPECT_EQ(out.shards_stolen, 0);
   EXPECT_GE(out.passes, 1);
   EXPECT_FALSE(out.cancelled);
@@ -295,6 +295,104 @@ TEST_F(WorkerLoopTest, GridSpecWorkerMatchesDirectRunBytes) {
   EXPECT_EQ(merged.json, ref.json);
 
   fs::remove_all(root_ + "-ref");
+}
+
+class WorkerLoopThreadsTest : public TempStoreTest,
+                              public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(WorkerLoopThreadsTest, TwoThreadWorkerMatchesDirectRunBytes) {
+  TinyProvider provider;
+  const ExperimentSpec spec = fixture_spec(GetParam());
+  ResultStore ref_store(root_ + "-ref");
+  const RunOutcome ref = run_spec(spec, provider, ref_store, tiny_options());
+
+  ResultStore store(root_);
+  WorkerConfig config;
+  config.run = tiny_options();
+  config.run.num_threads = 2;
+  config.worker_id = "w0";
+  config.lease_ttl_ns = kLongTtl;
+  const WorkerOutcome out = run_spec_worker(spec, provider, store, config);
+  EXPECT_EQ(out.shards_computed, ref.shards_total);
+  EXPECT_EQ(out.passes, 1) << "a lone worker never waits for another";
+  EXPECT_EQ(LeaseManager(store.root() + "/leases", "audit", kLongTtl).sweep(), 0);
+
+  const RunOutcome merged = run_spec(spec, provider, store, tiny_options());
+  EXPECT_EQ(merged.attack_steps, 0) << "the merge must only replay worker shards";
+  EXPECT_EQ(merged.json, ref.json);
+
+  fs::remove_all(root_ + "-ref");
+}
+
+INSTANTIATE_TEST_SUITE_P(FixtureSpecs, WorkerLoopThreadsTest,
+                         ::testing::Values("mini", "mini_shared", "mini_grid"));
+
+TEST_F(WorkerLoopTest, TwoConcurrentInProcessWorkersComputeEachShardOnce) {
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_spec();
+  ResultStore ref_store(root_ + "-ref");
+  const RunOutcome ref = run_spec(spec, provider, ref_store, tiny_options());
+
+  ResultStore store(root_);
+  WorkerOutcome a, b;
+  const auto work = [&](const char* id, WorkerOutcome& out) {
+    WorkerConfig config;
+    config.run = tiny_options();
+    config.worker_id = id;
+    config.lease_ttl_ns = kLongTtl;
+    out = run_spec_worker(spec, provider, store, config);
+  };
+  std::thread first([&] { work("wA", a); });  // pcss-lint: allow(C001)
+  work("wB", b);
+  first.join();
+  // A shard the other worker put is never recomputed: the store is probed
+  // again after every won lease.
+  EXPECT_EQ(a.shards_computed + b.shards_computed, 4);
+
+  const RunOutcome merged = run_spec(spec, provider, store, tiny_options());
+  EXPECT_EQ(merged.attack_steps, 0);
+  EXPECT_EQ(merged.json, ref.json);
+
+  fs::remove_all(root_ + "-ref");
+}
+
+TEST_F(WorkerLoopTest, SharedDeltaStolenAfterTheQueueStartsRunsAsAJob) {
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_shared_spec();
+  ResultStore ref_store(root_ + "-ref");
+  const RunOutcome ref = run_spec(spec, provider, ref_store, tiny_options());
+
+  // A live straggler holds the one shard's lease, so the worker's first
+  // claim is busy and the shard is still unclaimed when the queue starts.
+  const std::string lease =
+      run_key(spec, tiny_scale(), provider) + "-m0-v0-o0-n3.json.lease";
+  LeaseManager straggler(root_ + "/leases", "straggler", kLongTtl);
+  ASSERT_EQ(straggler.try_acquire(lease), LeaseManager::Acquire::kAcquired);
+
+  ResultStore store(root_);
+  WorkerConfig config;
+  config.run = tiny_options();
+  config.worker_id = "w0";
+  config.lease_ttl_ns = 500LL * 1000 * 1000;  // the straggler goes stale by heartbeat
+  const WorkerOutcome out = run_spec_worker(spec, provider, store, config);
+  EXPECT_EQ(out.shards_computed, 1);
+  EXPECT_EQ(out.shards_stolen, 1);
+  EXPECT_GE(out.passes, 2) << "the worker must have waited for the busy lease";
+
+  const RunOutcome merged = run_spec(spec, provider, store, tiny_options());
+  EXPECT_EQ(merged.attack_steps, 0);
+  EXPECT_EQ(merged.json, ref.json);
+
+  fs::remove_all(root_ + "-ref");
+}
+
+TEST_F(WorkerLoopTest, ForcedWorkerIsRejected) {
+  TinyProvider provider;
+  ResultStore store(root_);
+  WorkerConfig config;
+  config.run = tiny_options();
+  config.run.force = true;
+  EXPECT_THROW(run_spec_worker(mini_spec(), provider, store, config), std::invalid_argument);
 }
 
 TEST_F(WorkerLoopTest, TwoConcurrentWorkerProcessesProduceIdenticalBytes) {

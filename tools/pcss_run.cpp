@@ -84,8 +84,10 @@ int usage(int code) {
                "  --workers N         run N worker processes that claim shards via\n"
                "                      store leases, then merge; crash-safe and\n"
                "                      resumable, bytes identical to --workers 0\n"
-               "  --lease-ttl SEC     shard-lease staleness deadline (default 300);\n"
-               "                      a worker silent this long gets its shard stolen\n"
+               "  --lease-ttl SEC     shard-lease staleness deadline (default 300); a\n"
+               "                      worker renews its leases at each of its shard\n"
+               "                      boundaries, and one silent this long has its\n"
+               "                      shards stolen\n"
                "  --store DIR         result store root (default artifacts/results)\n"
                "  --trace FILE        record spans; write Chrome trace JSON to FILE\n"
                "                      (open in chrome://tracing or ui.perfetto.dev;\n"
@@ -359,16 +361,20 @@ int cmd_run_workers(const std::vector<std::string>& specs, const RunOptions& bas
   {
     // Warm the model zoo before spawning: train-if-missing happens here
     // exactly once, so N workers never race to write one checkpoint.
-    // Under --force, also clear the stored documents now — the workers
-    // recompute every shard, and the merge below must reassemble from
-    // those shards rather than replay a stale document.
+    // Under --force, also erase the stored documents and shard files now,
+    // so the workers (spawned without --force) compute every shard once
+    // between them and the merge below reassembles from those shards.
     ZooModelProvider warm;
     for (const std::string& name : specs) {
       const ExperimentSpec* spec = find_spec(name);
       for (ModelId id : spec->models) warm.model_fingerprint(id);
       for (ModelId id : spec->victims) warm.model_fingerprint(id);
       if (base_options.force) {
-        store.erase(run_key(*spec, base_options.scale, warm) + ".json");
+        const std::string key = run_key(*spec, base_options.scale, warm);
+        store.erase(key + ".json");
+        for (const std::string& stored : store.list(key + "-")) {
+          if (stored.rfind("shards/", 0) == 0) store.erase(stored);
+        }
       }
     }
   }
@@ -397,7 +403,6 @@ int cmd_run_workers(const std::vector<std::string>& specs, const RunOptions& bas
                              "--threads", std::to_string(worker_threads),
                              "--lease-ttl", std::to_string(lease_ttl_sec)});
     if (base_options.fast) args.push_back("--fast");
-    if (base_options.force) args.push_back("--force");
     if (!base_options.plan) args.push_back("--no-plan");
     return args;
   };
@@ -497,7 +502,7 @@ int cmd_run_workers(const std::vector<std::string>& specs, const RunOptions& bas
   // survives — and the bytes equal a 1-process run's by the executor's
   // partitioning invariant, not by trusting the workers.
   RunOptions merge = base_options;
-  merge.force = false;  // under --force the workers already recomputed the shards
+  merge.force = false;  // under --force the workers recomputed every shard
   return cmd_run(specs, merge, store_root);
 }
 
@@ -511,7 +516,10 @@ int main(int argc, char** argv) {
   install_signal_handlers();
 
   std::vector<std::string> specs;
-  RunOptionsBuilder builder;
+  bool force = false;
+  int threads = 0;
+  int shard_size = RunOptions{}.shard_size;
+  bool plan = true;
   std::string store_root = ResultStore::default_root();
   std::string trace_path;
   std::string metrics_path;
@@ -541,13 +549,13 @@ int main(int argc, char** argv) {
     if (arg == "--fast") {
       fast = true;
     } else if (arg == "--force") {
-      builder.force();
+      force = true;
     } else if (arg == "--threads") {
-      builder.threads(int_value("--threads"));
+      threads = int_value("--threads");
     } else if (arg == "--shard-size") {
-      builder.shard_size(int_value("--shard-size"));
+      shard_size = int_value("--shard-size");
     } else if (arg == "--no-plan") {
-      builder.plan(false);
+      plan = false;
     } else if (arg == "--workers") {
       workers = int_value("--workers");
     } else if (arg == "--lease-ttl") {
@@ -574,7 +582,11 @@ int main(int argc, char** argv) {
       specs.push_back(arg);
     }
   }
-  const RunOptions options = builder.fast(fast).build();
+  const RunOptions options = scaled_options({.fast = fast,
+                                             .force = force,
+                                             .num_threads = threads,
+                                             .shard_size = shard_size,
+                                             .plan = plan});
   if (!trace_path.empty()) pcss::obs::trace::set_enabled(true);
 
   if (command == "gc") return cmd_gc(store_root, tmp_age_sec);

@@ -93,7 +93,9 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   bool fast = fast_mode();
   bool warm = true;
-  RunOptionsBuilder builder;
+  int threads = 0;
+  int shard_size = RunOptions{}.shard_size;
+  bool plan = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -132,11 +134,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--drain-grace") {
       config.drain_grace_ms = std::atoll(value("--drain-grace").c_str());
     } else if (arg == "--threads") {
-      builder.threads(std::atoi(value("--threads").c_str()));
+      threads = std::atoi(value("--threads").c_str());
     } else if (arg == "--shard-size") {
-      builder.shard_size(std::atoi(value("--shard-size").c_str()));
+      shard_size = std::atoi(value("--shard-size").c_str());
     } else if (arg == "--no-plan") {
-      builder.plan(false);
+      plan = false;
     } else if (arg == "--fast") {
       fast = true;
     } else if (arg == "--no-warm") {
@@ -151,7 +153,8 @@ int main(int argc, char** argv) {
     }
   }
   (void)store_overridden;
-  const RunOptions base = builder.fast(fast).build();
+  const RunOptions base = scaled_options(
+      {.fast = fast, .num_threads = threads, .shard_size = shard_size, .plan = plan});
   if (!trace_path.empty()) pcss::obs::trace::set_enabled(true);
   install_signal_handlers();
 
