@@ -51,7 +51,7 @@ int main() {
       AttackConfig config = base_config(AttackNorm::kUnbounded, AttackField::kColor);
       config.lambda2 = lambda2;
       config.cw_steps = scale().cw_steps / 2;
-      const AttackResult r = run_attack(*model, cloud, config);
+      const AttackResult r = AttackEngine(*model, config).run(cloud);
       acc += evaluate_segmentation(r.predictions, cloud.labels, 13).accuracy;
       l2 += r.l2_color;
       rough += color_roughness(r.perturbed, 10);

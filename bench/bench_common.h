@@ -72,17 +72,10 @@ inline std::string figures_dir() {
 //
 // Every bench that drives attacks reports wall-clock and attack-step
 // throughput in the fixed "[perf]" format of pcss/runner/perf.h (shared
-// with the pcss_run CLI), so the batching speedup from
-// AttackEngine::run_batch can be tracked across PRs by grepping logs.
+// with the pcss_run CLI), so throughput can be tracked across changes by
+// grepping logs.
 
 using pcss::runner::print_perf;
 using pcss::runner::WallTimer;
-
-/// Sum of steps_used over a batch of results.
-inline long long total_steps(const std::vector<pcss::core::AttackResult>& results) {
-  long long steps = 0;
-  for (const auto& r : results) steps += r.steps_used;
-  return steps;
-}
 
 }  // namespace pcss::bench

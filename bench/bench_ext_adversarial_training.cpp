@@ -23,7 +23,7 @@ double attacked_accuracy(SegmentationModel& model, const std::vector<PointCloud>
                          const AttackConfig& config) {
   double acc = 0.0;
   for (const auto& cloud : clouds) {
-    const auto r = run_attack(model, cloud, config);
+    const auto r = AttackEngine(model, config).run(cloud);
     acc += evaluate_segmentation(r.predictions, cloud.labels, 13).accuracy;
   }
   return acc / static_cast<double>(clouds.size());

@@ -20,7 +20,7 @@ int main() {
   config.success_accuracy = 1.0f / 8.0f;
 
   const auto clean_pred = model->predict(cloud);
-  const AttackResult adv = run_attack(*model, cloud, config);
+  const AttackResult adv = AttackEngine(*model, config).run(cloud);
 
   const int w = 320, h = 240;
   const Image panel = Image::hstack({

@@ -2,10 +2,10 @@
 // adversarial samples. Upper block: samples generated on the
 // "pre-trained" PointNet++ (seed 1) evaluated on an independently
 // "self-trained" PointNet++ (seed 2). Lower block: samples generated on
-// ResGCN evaluated on PointNet++ (cross-family). Raw-unit perturbations
-// make the paper's range-remapping step implicit (see core/transfer.h).
+// ResGCN evaluated on PointNet++ (cross-family). Perturbations are in
+// raw units and every model normalizes its own input, so the paper's
+// coordinate range-remapping step between models is implicit.
 #include "bench_common.h"
-#include "pcss/core/transfer.h"
 
 using namespace pcss::core;
 using pcss::bench::base_config;
@@ -40,20 +40,22 @@ int main() {
   TransferRow rg_self_attack, rg_to_pn;
   for (const auto& cloud : clouds) {
     // Upper block: PN++(pre-trained) -> PN++(self-trained).
-    const AttackResult adv_pn = run_attack(*pn_pre, cloud, config);
+    const AttackResult adv_pn = AttackEngine(*pn_pre, config).run(cloud);
     const SegMetrics m_self = evaluate_segmentation(adv_pn.predictions, cloud.labels, 13);
     pre_self_attack.acc += m_self.accuracy;
     pre_self_attack.aiou += m_self.aiou;
-    const SegMetrics m_tr = evaluate_transfer(*pn_self, adv_pn.perturbed, 13);
+    const SegMetrics m_tr =
+        evaluate_segmentation(pn_self->predict(adv_pn.perturbed), cloud.labels, 13);
     self_transfer.acc += m_tr.accuracy;
     self_transfer.aiou += m_tr.aiou;
 
     // Lower block: ResGCN -> PN++ (cross-family).
-    const AttackResult adv_rg = run_attack(*resgcn, cloud, config);
+    const AttackResult adv_rg = AttackEngine(*resgcn, config).run(cloud);
     const SegMetrics m_rg = evaluate_segmentation(adv_rg.predictions, cloud.labels, 13);
     rg_self_attack.acc += m_rg.accuracy;
     rg_self_attack.aiou += m_rg.aiou;
-    const SegMetrics m_x = evaluate_transfer(*pn_pre, adv_rg.perturbed, 13);
+    const SegMetrics m_x =
+        evaluate_segmentation(pn_pre->predict(adv_rg.perturbed), cloud.labels, 13);
     rg_to_pn.acc += m_x.accuracy;
     rg_to_pn.aiou += m_x.aiou;
   }

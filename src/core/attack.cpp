@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "pcss/core/attack_engine.h"
-
 namespace pcss::core {
 
 const char* to_string(AttackObjective o) {
@@ -79,8 +77,15 @@ std::vector<std::string> AttackConfig::validate(int num_classes,
 
 PointCloud apply_field_deltas(const PointCloud& cloud, const std::vector<float>* color_delta,
                               const std::vector<float>* coord_delta) {
-  PointCloud out = cloud;
   const std::int64_t n = cloud.size();
+  for (const std::vector<float>* delta : {color_delta, coord_delta}) {
+    if (delta && delta->size() != static_cast<size_t>(n * 3)) {
+      throw std::invalid_argument("apply_field_deltas: delta has " +
+                                  std::to_string(delta->size()) + " values, cloud needs " +
+                                  std::to_string(n * 3));
+    }
+  }
+  PointCloud out = cloud;
   for (std::int64_t i = 0; i < n; ++i) {
     for (int a = 0; a < 3; ++a) {
       if (color_delta) {
@@ -93,11 +98,6 @@ PointCloud apply_field_deltas(const PointCloud& cloud, const std::vector<float>*
     }
   }
   return out;
-}
-
-AttackResult run_attack(SegmentationModel& model, const PointCloud& cloud,
-                        const AttackConfig& config) {
-  return AttackEngine(model, config).run(cloud);
 }
 
 AttackResult random_noise_baseline(SegmentationModel& model, const PointCloud& cloud,

@@ -1,11 +1,8 @@
 #include "pcss/core/defense_grid.h"
 
-#include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 #include "pcss/core/metrics.h"
-#include "pcss/core/worker_pool.h"
 #include "pcss/obs/trace.h"
 
 namespace pcss::core {
@@ -14,12 +11,12 @@ DefenseGrid::DefenseGrid(SegmentationModel& source, std::span<const GridVictim> 
                          std::span<const GridAttack> attacks,
                          std::span<const GridDefense> defenses, std::uint64_t defense_seed)
     : victims_(victims), attacks_(attacks), defenses_(defenses), defense_seed_(defense_seed) {
-  if (victims.empty()) throw std::invalid_argument("evaluate_defense_grid: no victims");
-  if (attacks.empty()) throw std::invalid_argument("evaluate_defense_grid: no attacks");
-  if (defenses.empty()) throw std::invalid_argument("evaluate_defense_grid: no defenses");
+  if (victims.empty()) throw std::invalid_argument("DefenseGrid: no victims");
+  if (attacks.empty()) throw std::invalid_argument("DefenseGrid: no attacks");
+  if (defenses.empty()) throw std::invalid_argument("DefenseGrid: no defenses");
   for (const GridVictim& victim : victims) {
     if (victim.model == nullptr) {
-      throw std::invalid_argument("evaluate_defense_grid: null victim model '" +
+      throw std::invalid_argument("DefenseGrid: null victim model '" +
                                   victim.label + "'");
     }
   }
@@ -88,32 +85,6 @@ void DefenseGrid::run_job(std::size_t attack, const PointCloud& cloud, std::size
       out.cells[cell++].cases[slot] = {m.accuracy, m.aiou, outcome.cloud.size()};
     }
   }
-}
-
-DefenseGridResult evaluate_defense_grid(SegmentationModel& source,
-                                        std::span<const GridVictim> victims,
-                                        std::span<const PointCloud> clouds,
-                                        std::span<const GridAttack> attacks,
-                                        std::span<const GridDefense> defenses,
-                                        const DefenseGridOptions& options) {
-  const DefenseGrid grid(source, victims, attacks, defenses, options.defense_seed);
-  if (clouds.empty()) throw std::invalid_argument("evaluate_defense_grid: no clouds");
-  // Jobs attack the source and predict with every victim concurrently.
-  std::deque<ScopedParamFreeze> frozen;
-  frozen.emplace_back(source);
-  for (const GridVictim& victim : victims) frozen.emplace_back(*victim.model);
-
-  DefenseGridResult result = grid.blank_result(clouds.size());
-  const std::size_t jobs = attacks.size() * clouds.size();
-  // The calling thread works too, so the pool needs one thread fewer.
-  WorkerPool pool(static_cast<int>(std::min<std::size_t>(
-                      static_cast<std::size_t>(resolve_threads(options.policy.threads)), jobs)) -
-                  1);
-  pool.run(jobs, [&](std::size_t job) {
-    const std::size_t i = job % clouds.size();
-    grid.run_job(job / clouds.size(), clouds[i], i, options.policy.plan, result, i);
-  });
-  return result;
 }
 
 }  // namespace pcss::core

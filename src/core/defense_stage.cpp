@@ -51,7 +51,7 @@ class SrsStage final : public DefenseStage {
             ? static_cast<std::int64_t>(static_cast<double>(n) * remove_fraction_)
             : remove_count_;
     if (remove < 0 || remove >= n) {
-      throw std::invalid_argument("srs_defense: remove_count out of range");
+      throw std::invalid_argument("srs stage: remove_count out of range");
     }
     if (remove == 0) return {cloud, identity_map(n)};
     auto keep = pcss::pointcloud::random_sample(n, n - remove, rng);

@@ -26,7 +26,7 @@ struct DefendedModelOptions {
 };
 
 /// Wraps any SegmentationModel so that attacks, `attack_cases`,
-/// `evaluate_transfer`, and `AttackEngine::run_batch` run unchanged
+/// `run_defended`, and `AttackEngine::run_batch` run unchanged
 /// *through* a defense pipeline — the adaptive-adversary setting where
 /// the attacker knows and differentiates the defense.
 ///

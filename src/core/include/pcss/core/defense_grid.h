@@ -68,16 +68,6 @@ struct DefenseGridResult {
   std::vector<GridAttackTrace> attacks;
 };
 
-struct DefenseGridOptions {
-  /// Base seed of the defense draws; cell (attack, defense, cloud g)
-  /// uses defense_cell_seed(defense_seed, labels, g).
-  std::uint64_t defense_seed = 11000;
-  /// How to run the grid's jobs: `threads` of them at once (the calling
-  /// thread is one; 0 = hardware), and whether attacks may compile plans.
-  /// Each job attacks on one thread. The observer is not used.
-  ExecPolicy policy;
-};
-
 /// A grid's columns and scoring, validated once, with one AttackEngine
 /// per attack column. The scheduling unit is one (attack column, cloud)
 /// job: run_job() attacks the cloud, then applies every defense to it
@@ -115,19 +105,5 @@ class DefenseGrid {
   std::vector<std::unique_ptr<AttackEngine>> engines_;  ///< null for a clean column
   std::vector<std::string> describes_;                  ///< per defense
 };
-
-/// Runs every (attack column, cloud) job of the grid on a WorkerPool of
-/// options.policy.threads workers: each non-clean column attacks each
-/// cloud once on `source` (RNG stream seed + global cloud index), every
-/// defense applies once per (attack, cloud), and every victim scores the
-/// shared defended clouds. Freezes the source and every victim around the
-/// call. Deterministic: the result is a pure function of the inputs and
-/// seeds for any thread count; cloud i is at global index i.
-DefenseGridResult evaluate_defense_grid(SegmentationModel& source,
-                                        std::span<const GridVictim> victims,
-                                        std::span<const PointCloud> clouds,
-                                        std::span<const GridAttack> attacks,
-                                        std::span<const GridDefense> defenses,
-                                        const DefenseGridOptions& options = {});
 
 }  // namespace pcss::core

@@ -24,7 +24,7 @@ const char* to_string(Dataset dataset);
 
 /// How one labelled column of a spec is computed.
 enum class VariantKind {
-  kPerCloud,       ///< AttackEngine::run_batch, one result per cloud
+  kPerCloud,       ///< AttackEngine::run(cloud, seed + g), one result per cloud
   kNoiseBaseline,  ///< random_noise_baseline at another variant's per-cloud L2
   kSharedDelta,    ///< AttackEngine::run_shared, one delta for all clouds
 };
@@ -136,10 +136,10 @@ class ModelProvider {
                                          std::uint64_t seed) = 0;
 };
 
-/// All registered paper reproductions, in presentation order. Currently
-/// table2, table3, table6 and ext_universal — the degradation-style
-/// tables the generic executor covers; the hiding tables need per-cloud
-/// masks and stay on their dedicated benches (see DESIGN.md).
+/// All registered paper reproductions, in presentation order: the attack
+/// tables table2, table3, table6 and ext_universal, then the defense
+/// grids table8 and defense_grid. The hiding tables need per-cloud masks
+/// and stay on their dedicated benches (see DESIGN.md).
 const std::vector<ExperimentSpec>& spec_registry();
 
 /// Registry lookup by name; null when unknown.

@@ -45,10 +45,6 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias);
 
 // -- Nonlinearities -------------------------------------------------------------
 Tensor relu(const Tensor& a);
-/// In-place relu: consumes `a` (pass with std::move) and reuses its
-/// buffer when uniquely owned; falls back to relu() otherwise. Backward
-/// uses the output sign (relu(x) > 0 iff x > 0).
-Tensor relu_inplace(Tensor a);
 Tensor leaky_relu(const Tensor& a, float negative_slope);
 Tensor tanh_op(const Tensor& a);
 Tensor sigmoid(const Tensor& a);

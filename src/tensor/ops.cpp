@@ -235,16 +235,6 @@ void relu_bw(TensorImpl& node) {
                                node.grad.size());
 }
 
-/// In-place relu: the node owns the (transformed) buffer, so the sign of
-/// the *output* stands in for the input sign (relu(x) > 0 iff x > 0).
-void relu_inplace_bw(TensorImpl& node) {
-  TensorImpl* pa = parent(node, 0);
-  if (!pa->requires_grad) return;
-  pa->ensure_grad();
-  simd::active().acc_relu_mask(pa->grad.data(), node.grad.data(), node.data.data(),
-                               node.grad.size());
-}
-
 void leaky_relu_bw(TensorImpl& node) {
   TensorImpl* pa = parent(node, 0);
   if (!pa->requires_grad) return;
@@ -1211,25 +1201,6 @@ Tensor relu(const Tensor& a) {
   FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
   simd::active().ew_relu(a.data(), out.data(), out.size());
   return make_node(a.shape(), std::move(out), {a.impl()}, relu_bw, {.fwd = relu_fwd});
-}
-
-Tensor relu_inplace(Tensor a) {
-  check(a.defined(), "relu_inplace: undefined input");
-  TensorImplPtr ia = a.impl();
-  a = Tensor();
-  if (plan::detail::recording() || ia.use_count() != 1 || !ia->grad.empty() ||
-      ia->backward_reads_output) {
-    // See add_inplace: capture forces the allocating fallback. The output
-    // values are identical, and so are the gradients — relu_bw masks by the
-    // input sign, relu_inplace_bw by the output sign, and relu(x) > 0 iff
-    // x > 0.
-    return relu(Tensor(std::move(ia)));
-  }
-  FloatBuffer out = std::move(ia->data);
-  simd::active().ew_relu(out.data(), out.data(), out.size());
-  Shape shape = ia->shape;  // before ia moves into the parents list
-  return make_node(std::move(shape), std::move(out), {std::move(ia)}, relu_inplace_bw,
-                   {.needs_output = true});
 }
 
 Tensor leaky_relu(const Tensor& a, float negative_slope) {

@@ -1,7 +1,7 @@
-// AttackEngine contract tests: strategy-composition equivalence with the
-// legacy run_attack wrapper across all 8 paper configurations, batched
-// determinism under different thread counts, config validation, the
-// shared-delta mode, and observer/recipe pluggability.
+// AttackEngine contract tests: the config-derived recipe equals one
+// composed from the public factories in all 8 paper configurations,
+// batched determinism under different thread counts, config validation,
+// the shared-delta mode, and observer/recipe pluggability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/metrics.h"
-#include "pcss/core/universal.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
 
@@ -70,8 +69,8 @@ void expect_bit_identical(const AttackResult& a, const AttackResult& b) {
   EXPECT_EQ(a.steps_used, b.steps_used);
   for (std::int64_t i = 0; i < a.perturbed.size(); ++i) {
     for (int axis = 0; axis < 3; ++axis) {
-      // Exact float equality: the engine and the wrapper must execute
-      // the same arithmetic in the same order.
+      // Exact float equality: both engines must execute the same
+      // arithmetic in the same order.
       EXPECT_EQ(a.perturbed.colors[static_cast<size_t>(i)][axis],
                 b.perturbed.colors[static_cast<size_t>(i)][axis])
           << "color mismatch at point " << i;
@@ -94,7 +93,7 @@ class EngineEquivalence
       public ::testing::WithParamInterface<
           std::tuple<AttackObjective, AttackNorm, AttackField>> {};
 
-TEST_P(EngineEquivalence, EngineMatchesLegacyWrapperBitExactly) {
+TEST_P(EngineEquivalence, ConfigRecipeMatchesComposedRecipeBitExactly) {
   const auto [objective, norm, field] = GetParam();
   AttackConfig config;
   config.objective = objective;
@@ -108,10 +107,10 @@ TEST_P(EngineEquivalence, EngineMatchesLegacyWrapperBitExactly) {
         mask_for_class(cloud_->labels, static_cast<int>(IndoorClass::kWindow));
   }
 
-  // The legacy free function (now a compatibility wrapper)...
-  const AttackResult legacy = run_attack(*model_, *cloud_, config);
-  // ...versus an engine whose recipe is assembled strategy-by-strategy
-  // from the public factories rather than derived from the config.
+  // The engine whose recipe is derived from the config...
+  const AttackResult derived = AttackEngine(*model_, config).run(*cloud_);
+  // ...versus one whose recipe is assembled strategy-by-strategy from
+  // the public factories.
   AttackRecipe recipe;
   recipe.make_objective = [&config]() -> std::unique_ptr<Objective> {
     if (config.objective == AttackObjective::kObjectHiding) {
@@ -135,7 +134,7 @@ TEST_P(EngineEquivalence, EngineMatchesLegacyWrapperBitExactly) {
   const AttackEngine engine(*model_, config, std::move(recipe));
   const AttackResult composed = engine.run(*cloud_);
 
-  expect_bit_identical(legacy, composed);
+  expect_bit_identical(derived, composed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -254,19 +253,6 @@ TEST_F(EngineFixture, RunRejectsMismatchedMask) {
 // ---------------------------------------------------------------------------
 // Shared-delta ("universal") mode.
 // ---------------------------------------------------------------------------
-
-TEST_F(EngineFixture, RunSharedMatchesUniversalWrapper) {
-  AttackConfig config;
-  config.steps = 4;
-  config.epsilon = 0.2f;
-  const AttackEngine engine(*model_, config);
-  const SharedDeltaResult shared = engine.run_shared(*clouds_);
-  const UniversalAttackResult wrapped = universal_color_attack(*model_, *clouds_, config);
-  EXPECT_EQ(shared.color_delta, wrapped.color_delta);
-  EXPECT_EQ(shared.accuracy_before, wrapped.accuracy_before);
-  EXPECT_EQ(shared.accuracy_after, wrapped.accuracy_after);
-  EXPECT_EQ(shared.steps_used, wrapped.steps_used);
-}
 
 TEST_F(EngineFixture, RunSharedDeterministicAcrossThreadCounts) {
   AttackConfig config;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <memory>
 
-#include "pcss/core/attack.h"
+#include "pcss/core/attack_engine.h"
 #include "pcss/core/metrics.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
@@ -89,7 +89,7 @@ TEST_F(AttackFixture, BoundedColorAttackRespectsEpsilonEverywhere) {
   config.field = AttackField::kColor;
   config.steps = 8;
   config.epsilon = 0.05f;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   for (std::int64_t i = 0; i < eval_cloud_->size(); ++i) {
     for (int a = 0; a < 3; ++a) {
       const float d = result.perturbed.colors[static_cast<size_t>(i)][a] -
@@ -112,7 +112,7 @@ TEST_P(EpsilonSweep, PerturbationNeverExceedsBound) {
   config.norm = AttackNorm::kBounded;
   config.steps = 5;
   config.epsilon = GetParam();
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   float max_abs = 0.0f;
   for (std::int64_t i = 0; i < eval_cloud_->size(); ++i) {
     for (int a = 0; a < 3; ++a) {
@@ -133,7 +133,7 @@ TEST_F(AttackFixture, DegradationAttackDropsAccuracy) {
   config.steps = 20;
   config.epsilon = 0.25f;
   config.step_size = 0.02f;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   const double attacked =
       evaluate_segmentation(result.predictions, eval_cloud_->labels, 13).accuracy;
   EXPECT_LT(attacked, clean - 0.15) << "clean=" << clean << " attacked=" << attacked;
@@ -144,7 +144,7 @@ TEST_F(AttackFixture, UnboundedAttackDropsAccuracyAndKeepsColorsValid) {
   AttackConfig config;
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 30;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   const double attacked =
       evaluate_segmentation(result.predictions, eval_cloud_->labels, 13).accuracy;
   EXPECT_LT(attacked, clean - 0.15);
@@ -172,7 +172,7 @@ TEST_F(AttackFixture, ObjectHidingRaisesPsr) {
   config.cw_steps = 60;
   config.target_class = target;
   config.target_mask = mask;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   const double psr = point_success_rate(result.predictions, mask, target);
   EXPECT_GT(psr, base_psr + 0.2) << "base=" << base_psr << " attacked=" << psr;
 }
@@ -186,7 +186,7 @@ TEST_F(AttackFixture, HidingOnlyPerturbsTargetedPoints) {
   config.steps = 5;
   config.target_class = static_cast<int>(IndoorClass::kCeiling);
   config.target_mask = mask;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   for (std::int64_t i = 0; i < eval_cloud_->size(); ++i) {
     if (mask[static_cast<size_t>(i)]) continue;
     for (int a = 0; a < 3; ++a) {
@@ -202,7 +202,7 @@ TEST_F(AttackFixture, CoordinateAttackLeavesColorsAlone) {
   config.field = AttackField::kCoordinate;
   config.norm = AttackNorm::kBounded;
   config.steps = 6;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   EXPECT_EQ(result.l0_color, 0);
   for (std::int64_t i = 0; i < eval_cloud_->size(); ++i) {
     for (int a = 0; a < 3; ++a) {
@@ -220,7 +220,7 @@ TEST_F(AttackFixture, MinImpactScheduleShrinksL0) {
   config.norm = AttackNorm::kBounded;
   config.steps = 12;
   config.min_impact_fraction = 0.1f;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   EXPECT_LT(result.l0_coord, eval_cloud_->size());
   EXPECT_GT(result.l0_coord, 0);
 }
@@ -230,7 +230,7 @@ TEST_F(AttackFixture, BothFieldsPerturbsBoth) {
   config.field = AttackField::kBoth;
   config.norm = AttackNorm::kBounded;
   config.steps = 6;
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   EXPECT_GT(result.l0_color, 0);
   EXPECT_GT(result.l0_coord, 0);
 }
@@ -242,7 +242,7 @@ TEST_F(AttackFixture, ConvergenceStopsEarly) {
   config.epsilon = 0.3f;
   config.step_size = 0.03f;
   config.success_accuracy = 0.5f;  // generous: reached quickly
-  const AttackResult result = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult result = AttackEngine(*model_, config).run(*eval_cloud_);
   EXPECT_LT(result.steps_used, 40);
 }
 
@@ -256,7 +256,7 @@ TEST_F(AttackFixture, RandomNoiseWeakerThanOptimizedAttack) {
   AttackConfig config;
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 25;
-  const AttackResult adv = run_attack(*model_, *eval_cloud_, config);
+  const AttackResult adv = AttackEngine(*model_, config).run(*eval_cloud_);
   const AttackResult noise =
       random_noise_baseline(*model_, *eval_cloud_, adv.l2_color, 43);
   const double adv_acc =
@@ -269,12 +269,12 @@ TEST_F(AttackFixture, RandomNoiseWeakerThanOptimizedAttack) {
 TEST_F(AttackFixture, ConfigValidation) {
   AttackConfig config;
   config.objective = AttackObjective::kObjectHiding;
-  EXPECT_THROW(run_attack(*model_, *eval_cloud_, config), std::invalid_argument)
+  EXPECT_THROW(AttackEngine(*model_, config).run(*eval_cloud_), std::invalid_argument)
       << "hiding without target class/mask must be rejected";
   config.target_class = 2;
-  EXPECT_THROW(run_attack(*model_, *eval_cloud_, config), std::invalid_argument);
+  EXPECT_THROW(AttackEngine(*model_, config).run(*eval_cloud_), std::invalid_argument);
   config.target_mask.assign(3, 1);  // wrong size
-  EXPECT_THROW(run_attack(*model_, *eval_cloud_, config), std::invalid_argument);
+  EXPECT_THROW(AttackEngine(*model_, config).run(*eval_cloud_), std::invalid_argument);
 }
 
 TEST(AttackEnums, ToStringCoverage) {

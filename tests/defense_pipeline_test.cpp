@@ -1,5 +1,4 @@
-// DefensePipeline contract tests: the legacy free functions are
-// bit-exact wrappers over the stages, chained stages carry a correct
+// DefensePipeline contract tests: chained stages carry a correct
 // surviving-index map (metrics score against permuted original ground
 // truth even when a stage clobbers carried labels), SOR's combined kNN
 // is grid/brute-equivalent on the defended output, and DefendedModel
@@ -17,9 +16,7 @@
 
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/defended_model.h"
-#include "pcss/core/defense.h"
 #include "pcss/core/defense_grid.h"
-#include "pcss/core/transfer.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
 
@@ -48,57 +45,6 @@ std::shared_ptr<ResGCNSeg> tiny_model(std::uint64_t seed = 9) {
 
 bool same_cloud(const pcss::data::PointCloud& a, const pcss::data::PointCloud& b) {
   return a.positions == b.positions && a.colors == b.colors && a.labels == b.labels;
-}
-
-// ---------------------------------------------------------------------------
-// Wrapper equivalence (the free functions are thin pipeline wrappers)
-// ---------------------------------------------------------------------------
-
-TEST(DefenseWrappers, SrsDefenseEqualsSrsStageBitExactly) {
-  const auto cloud = scene(200, 3);
-  Rng rng_a(17), rng_b(17);
-  const auto via_wrapper = srs_defense(cloud, 40, rng_a);
-  const auto via_stage = make_srs_stage(40)->apply(cloud, rng_b);
-  EXPECT_TRUE(same_cloud(via_wrapper, via_stage.cloud));
-  ASSERT_EQ(via_stage.kept.size(), 160u);
-  for (size_t i = 0; i < via_stage.kept.size(); ++i) {
-    EXPECT_EQ(via_stage.cloud.positions[i],
-              cloud.positions[static_cast<size_t>(via_stage.kept[i])]);
-  }
-}
-
-TEST(DefenseWrappers, SorDefenseEqualsSorStageBitExactly) {
-  const auto cloud = scene(220, 4);
-  Rng unused(0);
-  const auto via_wrapper = sor_defense(cloud, 2, 1.0f, 1.0f);
-  const auto via_stage = make_sor_stage(2, 1.0f, 1.0f)->apply(cloud, unused);
-  EXPECT_TRUE(same_cloud(via_wrapper, via_stage.cloud));
-}
-
-TEST(DefenseWrappers, EvaluateDefendedEqualsRunDefendedOnTheWrapperPath) {
-  auto model = tiny_model();
-  const auto cloud = scene(150, 5);
-  Rng rng_a(23), rng_b(23);
-  const auto defended = srs_defense(cloud, 30, rng_a);
-  const DefendedEval legacy = evaluate_defended(*model, defended, 13);
-
-  DefensePipeline pipeline;
-  pipeline.add(make_srs_stage(30));
-  const DefenseReport report = run_defended(*model, pipeline, cloud, 13, rng_b);
-  EXPECT_EQ(legacy.accuracy, report.metrics.accuracy);
-  EXPECT_EQ(legacy.aiou, report.metrics.aiou);
-  EXPECT_EQ(legacy.points_kept, report.outcome.cloud.size());
-}
-
-TEST(DefenseWrappers, EvaluateTransferEqualsIdentityPipelineMetrics) {
-  auto model = tiny_model();
-  const auto cloud = scene(140, 6);
-  const SegMetrics legacy = evaluate_transfer(*model, cloud, 13);
-  Rng unused(0);
-  const DefenseReport report = run_defended(*model, DefensePipeline{}, cloud, 13, unused);
-  EXPECT_EQ(legacy.accuracy, report.metrics.accuracy);
-  EXPECT_EQ(legacy.aiou, report.metrics.aiou);
-  EXPECT_EQ(legacy.per_class_iou, report.metrics.per_class_iou);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +339,7 @@ TEST(DefendedModelTest, EotAveragesResamplesAndStaysDeterministic) {
 // Defense grid driver
 // ---------------------------------------------------------------------------
 
-TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
+TEST(DefenseGridTest, RunJobCellsMatchTransferAndRunDefended) {
   auto source = tiny_model(9);
   auto other = tiny_model(10);
   const std::vector<pcss::data::PointCloud> clouds = {scene(96, 18), scene(96, 19)};
@@ -407,16 +353,21 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   srs.add(make_srs_fraction_stage(0.05f));
   defenses.push_back({"srs", srs});
 
-  DefenseGridOptions options;
-  options.defense_seed = 1234;
-  options.policy.threads = 1;
-  const DefenseGridResult grid = evaluate_defense_grid(
-      *source, victims, clouds, attacks, defenses, options);
+  const std::uint64_t defense_seed = 1234;
+  const DefenseGrid runner(*source, victims, attacks, defenses, defense_seed);
+  DefenseGridResult grid = runner.blank_result(clouds.size());
+  {
+    const ScopedParamFreeze freeze_source(*source);
+    const ScopedParamFreeze freeze_other(*other);
+    for (size_t a = 0; a < attacks.size(); ++a) {
+      for (size_t g = 0; g < clouds.size(); ++g) runner.run_job(a, clouds[g], g, true, grid, g);
+    }
+  }
   ASSERT_EQ(grid.cells.size(), 2u * 2u * 2u);
   ASSERT_EQ(grid.attacks.size(), 2u);
   EXPECT_EQ(grid.attacks[0].steps, (std::vector<long long>{0, 0}));
 
-  // The (clean, none, other) cell is exactly evaluate_transfer on the
+  // The (clean, none, other) cell is a plain transfer evaluation of the
   // clean clouds; (bounded, none, source) matches the engine + transfer
   // composition under the seed + index convention.
   const auto& clean_transfer = grid.cells[1];
@@ -424,7 +375,8 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   EXPECT_EQ(clean_transfer.defense, "none");
   EXPECT_EQ(clean_transfer.victim, "other");
   for (size_t g = 0; g < clouds.size(); ++g) {
-    const SegMetrics direct = evaluate_transfer(*other, clouds[g], 13);
+    const SegMetrics direct =
+        evaluate_segmentation(other->predict(clouds[g]), clouds[g].labels, 13);
     EXPECT_EQ(clean_transfer.cases[g].accuracy, direct.accuracy);
     EXPECT_EQ(clean_transfer.cases[g].aiou, direct.aiou);
   }
@@ -433,14 +385,16 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   AttackEngine engine(*source, config);
   for (size_t g = 0; g < clouds.size(); ++g) {
     const AttackResult adv = engine.run(clouds[g], config.seed + g);
-    const SegMetrics self = evaluate_transfer(*source, adv.perturbed, 13);
+    EXPECT_EQ(grid.attacks[1].steps[g], adv.steps_used);
+    const SegMetrics self =
+        evaluate_segmentation(source->predict(adv.perturbed), adv.perturbed.labels, 13);
     const GridCell& cell = grid.cells[4];  // bounded x none x source
     EXPECT_EQ(cell.attack, "bounded");
     EXPECT_EQ(cell.victim, "source");
     EXPECT_EQ(cell.cases[g].accuracy, self.accuracy);
     // And the SRS-defended cell reproduces run_defended with the grid's
     // published per-cell stream.
-    Rng rng(defense_cell_seed(options.defense_seed, "bounded", srs.describe(), g));
+    Rng rng(defense_cell_seed(defense_seed, "bounded", srs.describe(), g));
     const DefenseReport report = run_defended(*source, srs, adv.perturbed, 13, rng);
     const GridCell& defended_cell = grid.cells[6];  // bounded x srs x source
     EXPECT_EQ(defended_cell.defense, "srs");
@@ -449,49 +403,16 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   }
 }
 
-TEST(DefenseGridTest, CellsAndAttacksIdenticalAtThreadCount1And4) {
+TEST(DefenseGridTest, RejectsEmptyListsAndNullVictims) {
   auto source = tiny_model(12);
-  auto other = tiny_model(13);
-  std::vector<pcss::data::PointCloud> clouds;
-  for (int i = 0; i < 3; ++i) clouds.push_back(scene(96, 40 + static_cast<unsigned>(i)));
-  const std::vector<GridVictim> victims = {{"source", source.get()}, {"other", other.get()}};
-  const std::vector<GridAttack> attacks = {{"clean", true, {}},
-                                           {"bounded", false, small_bounded_config()}};
-  std::vector<GridDefense> defenses;
-  defenses.push_back({"none", {}});
-  DefensePipeline srs;
-  srs.add(make_srs_fraction_stage(0.1f));
-  defenses.push_back({"srs", srs});
-
-  DefenseGridOptions one;
-  one.defense_seed = 77;
-  one.policy.threads = 1;
-  DefenseGridOptions four = one;
-  four.policy.threads = 4;
-  const DefenseGridResult serial =
-      evaluate_defense_grid(*source, victims, clouds, attacks, defenses, one);
-  const DefenseGridResult pooled =
-      evaluate_defense_grid(*source, victims, clouds, attacks, defenses, four);
-  ASSERT_EQ(serial.cells.size(), pooled.cells.size());
-  for (size_t c = 0; c < serial.cells.size(); ++c) {
-    const GridCell& a = serial.cells[c];
-    const GridCell& b = pooled.cells[c];
-    EXPECT_EQ(a.attack + a.defense + a.victim, b.attack + b.defense + b.victim);
-    ASSERT_EQ(a.cases.size(), clouds.size());
-    ASSERT_EQ(b.cases.size(), clouds.size());
-    for (size_t g = 0; g < clouds.size(); ++g) {
-      EXPECT_EQ(a.cases[g].accuracy, b.cases[g].accuracy) << c << "/" << g;
-      EXPECT_EQ(a.cases[g].aiou, b.cases[g].aiou) << c << "/" << g;
-      EXPECT_EQ(a.cases[g].points_kept, b.cases[g].points_kept) << c << "/" << g;
-    }
-  }
-  ASSERT_EQ(serial.attacks.size(), pooled.attacks.size());
-  for (size_t ai = 0; ai < serial.attacks.size(); ++ai) {
-    EXPECT_EQ(serial.attacks[ai].label, pooled.attacks[ai].label);
-    EXPECT_EQ(serial.attacks[ai].l2_color, pooled.attacks[ai].l2_color);
-    EXPECT_EQ(serial.attacks[ai].steps, pooled.attacks[ai].steps);
-  }
-  EXPECT_GT(pooled.attacks[1].steps[0], 0) << "the attack column must actually attack";
+  const std::vector<GridVictim> victims = {{"source", source.get()}};
+  const std::vector<GridVictim> null_victim = {{"ghost", nullptr}};
+  const std::vector<GridAttack> attacks = {{"clean", true, {}}};
+  const std::vector<GridDefense> defenses = {{"none", {}}};
+  EXPECT_THROW(DefenseGrid(*source, {}, attacks, defenses, 0), std::invalid_argument);
+  EXPECT_THROW(DefenseGrid(*source, victims, {}, defenses, 0), std::invalid_argument);
+  EXPECT_THROW(DefenseGrid(*source, victims, attacks, {}, 0), std::invalid_argument);
+  EXPECT_THROW(DefenseGrid(*source, null_victim, attacks, defenses, 0), std::invalid_argument);
 }
 
 }  // namespace

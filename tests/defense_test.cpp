@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "pcss/core/defense.h"
+#include "pcss/core/defense_stage.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
 
@@ -23,7 +23,7 @@ pcss::data::PointCloud scene(int points = 200, std::uint64_t seed = 1) {
 TEST(SrsDefense, RemovesExactCount) {
   const auto cloud = scene(200);
   Rng rng(5);
-  const auto defended = srs_defense(cloud, 50, rng);
+  const auto defended = make_srs_stage(50)->apply(cloud, rng).cloud;
   EXPECT_EQ(defended.size(), 150);
   EXPECT_NO_THROW(defended.validate());
 }
@@ -31,7 +31,7 @@ TEST(SrsDefense, RemovesExactCount) {
 TEST(SrsDefense, KeptPointsComeFromOriginal) {
   const auto cloud = scene(100);
   Rng rng(6);
-  const auto defended = srs_defense(cloud, 30, rng);
+  const auto defended = make_srs_stage(30)->apply(cloud, rng).cloud;
   // Every kept position must exist in the original (order preserved means
   // we can check by scanning forward).
   size_t cursor = 0;
@@ -51,8 +51,8 @@ TEST(SrsDefense, KeptPointsComeFromOriginal) {
 TEST(SrsDefense, RejectsBadCounts) {
   const auto cloud = scene(50);
   Rng rng(7);
-  EXPECT_THROW(srs_defense(cloud, -1, rng), std::invalid_argument);
-  EXPECT_THROW(srs_defense(cloud, 50, rng), std::invalid_argument);
+  EXPECT_THROW(make_srs_stage(-1)->apply(cloud, rng), std::invalid_argument);
+  EXPECT_THROW(make_srs_stage(50)->apply(cloud, rng), std::invalid_argument);
 }
 
 TEST(SorDefense, RemovesPlantedSpatialOutliers) {
@@ -62,7 +62,8 @@ TEST(SorDefense, RemovesPlantedSpatialOutliers) {
   for (int i = 0; i < 5; ++i) {
     cloud.push_back({100.0f + i, 100.0f, 100.0f}, {0.5f, 0.5f, 0.5f}, 0);
   }
-  const auto defended = sor_defense(cloud, 2, 1.0f, 1.0f);
+  Rng unused(0);  // SOR never draws
+  const auto defended = make_sor_stage(2, 1.0f, 1.0f)->apply(cloud, unused).cloud;
   EXPECT_LE(defended.size(), n_before + 1);
   for (const auto& p : defended.positions) {
     EXPECT_LT(p[0], 50.0f) << "planted outlier survived SOR";
@@ -81,14 +82,14 @@ TEST(SorDefense, ColorAwareDistanceCatchesColorOutliers) {
     cloud.push_back({rng.uniform(0, 1), rng.uniform(0, 1), 0.0f}, {1.0f, 0.0f, 1.0f}, 0);
   }
   // Strong color weighting: the color outliers dominate the metric.
-  const auto defended = sor_defense(cloud, 2, 1.5f, 50.0f);
+  const auto defended = make_sor_stage(2, 1.5f, 50.0f)->apply(cloud, rng).cloud;
   int magenta = 0;
   for (const auto& c : defended.colors) {
     if (c[0] > 0.9f && c[1] < 0.1f) ++magenta;
   }
   EXPECT_EQ(magenta, 0) << "color outliers survived color-aware SOR";
   // Without color weighting they survive (spatially they are inliers).
-  const auto spatial_only = sor_defense(cloud, 2, 1.5f, 0.0f);
+  const auto spatial_only = make_sor_stage(2, 1.5f, 0.0f)->apply(cloud, rng).cloud;
   int magenta2 = 0;
   for (const auto& c : spatial_only.colors) {
     if (c[0] > 0.9f && c[1] < 0.1f) ++magenta2;
@@ -98,11 +99,12 @@ TEST(SorDefense, ColorAwareDistanceCatchesColorOutliers) {
 
 TEST(SorDefense, SmallCloudPassthrough) {
   const auto cloud = scene(3);
-  const auto defended = sor_defense(cloud, 5);
+  Rng unused(0);
+  const auto defended = make_sor_stage(5)->apply(cloud, unused).cloud;
   EXPECT_EQ(defended.size(), cloud.size());
 }
 
-TEST(DefendedEvalTest, ScoresDefendedCloud) {
+TEST(SrsDefense, RunDefendedScoresDefendedCloud) {
   Rng init(9);
   ResGCNConfig config;
   config.num_classes = pcss::data::kIndoorNumClasses;
@@ -111,13 +113,14 @@ TEST(DefendedEvalTest, ScoresDefendedCloud) {
   ResGCNSeg model(config, init);
   const auto cloud = scene(150);
   Rng rng(10);
-  const auto defended = srs_defense(cloud, 30, rng);
-  const DefendedEval eval = evaluate_defended(model, defended, config.num_classes);
-  EXPECT_EQ(eval.points_kept, 120);
-  EXPECT_GE(eval.accuracy, 0.0);
-  EXPECT_LE(eval.accuracy, 1.0);
-  EXPECT_GE(eval.aiou, 0.0);
-  EXPECT_LE(eval.aiou, 1.0);
+  const DefenseReport report = run_defended(model, DefensePipeline{}.add(make_srs_stage(30)),
+                                            cloud, config.num_classes, rng);
+  EXPECT_EQ(report.outcome.cloud.size(), 120);
+  EXPECT_EQ(report.predictions.size(), 120u);
+  EXPECT_GE(report.metrics.accuracy, 0.0);
+  EXPECT_LE(report.metrics.accuracy, 1.0);
+  EXPECT_GE(report.metrics.aiou, 0.0);
+  EXPECT_LE(report.metrics.aiou, 1.0);
 }
 
 }  // namespace

@@ -6,9 +6,8 @@
 #include <cmath>
 
 #include "pcss/core/adv_train.h"
-#include "pcss/core/attack.h"
+#include "pcss/core/attack_engine.h"
 #include "pcss/core/metrics.h"
-#include "pcss/core/universal.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/pct.h"
 #include "pcss/models/resgcn.h"
@@ -98,7 +97,7 @@ TEST(Pct, AttackFrameworkApplies) {
   AttackConfig config;
   config.norm = AttackNorm::kBounded;
   config.steps = 3;
-  const auto result = run_attack(model, cloud, config);
+  const auto result = AttackEngine(model, config).run(cloud);
   EXPECT_EQ(static_cast<std::int64_t>(result.predictions.size()), cloud.size());
   EXPECT_GT(result.l0_color, 0);
 }
@@ -148,7 +147,7 @@ TEST_F(UniversalFixture, SharedDeltaDropsAccuracyOnAllClouds) {
   config.steps = 15;
   config.epsilon = 0.25f;
   config.step_size = 0.02f;
-  const auto result = universal_color_attack(*model_, *clouds_, config);
+  const auto result = AttackEngine(*model_, config).run_shared(*clouds_);
   ASSERT_EQ(result.accuracy_before.size(), clouds_->size());
   double before = 0.0, after = 0.0;
   for (size_t i = 0; i < clouds_->size(); ++i) {
@@ -163,13 +162,13 @@ TEST_F(UniversalFixture, DeltaRespectsEpsilon) {
   AttackConfig config;
   config.steps = 5;
   config.epsilon = 0.1f;
-  const auto result = universal_color_attack(*model_, *clouds_, config);
+  const auto result = AttackEngine(*model_, config).run_shared(*clouds_);
   for (float d : result.color_delta) EXPECT_LE(std::abs(d), config.epsilon + 1e-5f);
 }
 
 TEST_F(UniversalFixture, ApplyClampsColors) {
   std::vector<float> delta(static_cast<size_t>((*clouds_)[0].size() * 3), 0.9f);
-  const auto adv = apply_universal_delta((*clouds_)[0], delta);
+  const auto adv = apply_field_deltas((*clouds_)[0], &delta, nullptr);
   EXPECT_NO_THROW(adv.validate());
 }
 
@@ -178,10 +177,16 @@ TEST_F(UniversalFixture, RejectsMisalignedClouds) {
   IndoorSceneGenerator small({.num_points = 64});
   Rng rng(11);
   clouds.push_back(small.generate(rng));
-  AttackConfig config;
-  EXPECT_THROW(universal_color_attack(*model_, clouds, config), std::invalid_argument);
-  EXPECT_THROW(universal_color_attack(*model_, {}, config), std::invalid_argument);
-  EXPECT_THROW(apply_universal_delta((*clouds_)[0], {1.0f}), std::invalid_argument);
+  const AttackEngine engine(*model_, AttackConfig{});
+  EXPECT_THROW(engine.run_shared(clouds), std::invalid_argument);
+  EXPECT_THROW(engine.run_shared({}), std::invalid_argument);
+  // A delta that does not cover the cloud exactly is rejected, not read
+  // out of bounds.
+  const std::vector<float> short_delta = {1.0f};
+  const std::vector<float> long_delta(static_cast<size_t>((*clouds_)[0].size() * 3 + 3), 0.0f);
+  EXPECT_THROW(apply_field_deltas((*clouds_)[0], &short_delta, nullptr), std::invalid_argument);
+  EXPECT_THROW(apply_field_deltas((*clouds_)[0], nullptr, &short_delta), std::invalid_argument);
+  EXPECT_THROW(apply_field_deltas((*clouds_)[0], &long_delta, nullptr), std::invalid_argument);
 }
 
 // --- adversarial training ------------------------------------------------------
@@ -213,12 +218,12 @@ TEST_F(UniversalFixture, L0OnColorSparsifiesBoundedAttack) {
   AttackConfig dense;
   dense.norm = AttackNorm::kBounded;
   dense.steps = 8;
-  const auto r_dense = run_attack(*model_, cloud, dense);
+  const auto r_dense = AttackEngine(*model_, dense).run(cloud);
 
   AttackConfig sparse = dense;
   sparse.l0_on_color = true;
   sparse.min_impact_fraction = 0.05f;
-  const auto r_sparse = run_attack(*model_, cloud, sparse);
+  const auto r_sparse = AttackEngine(*model_, sparse).run(cloud);
   EXPECT_LT(r_sparse.l0_color, r_dense.l0_color)
       << "Eq. 12 schedule on color must reduce the L0 count";
   EXPECT_GT(r_sparse.l0_color, 0);

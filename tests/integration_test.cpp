@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "pcss/core/attack.h"
-#include "pcss/core/defense.h"
+#include "pcss/core/attack_engine.h"
+#include "pcss/core/defense_stage.h"
 #include "pcss/core/experiment.h"
 #include "pcss/core/metrics.h"
-#include "pcss/core/transfer.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/pointnet2.h"
 #include "pcss/train/trainer.h"
@@ -80,7 +79,7 @@ TEST_F(PipelineTest, AttackThenDefendPipeline) {
   AttackConfig config;
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 25;
-  const AttackResult adv = run_attack(*model_a_, *cloud_, config);
+  const AttackResult adv = AttackEngine(*model_a_, config).run(*cloud_);
   const double adv_acc =
       evaluate_segmentation(adv.predictions, cloud_->labels, 13).accuracy;
 
@@ -92,20 +91,22 @@ TEST_F(PipelineTest, AttackThenDefendPipeline) {
   // SOR removes some perturbed points; accuracy on the defended cloud
   // should not be lower than the undefended adversarial accuracy by much
   // (defense never makes things dramatically worse).
-  const auto defended = sor_defense(adv.perturbed, 2, 1.0f, 1.0f);
-  const DefendedEval eval = evaluate_defended(*model_a_, defended, 13);
-  EXPECT_LE(defended.size(), adv.perturbed.size());
-  EXPECT_GE(eval.accuracy, 0.0);
+  Rng unused(0);  // SOR never draws
+  const DefenseReport eval = run_defended(
+      *model_a_, DefensePipeline{}.add(make_sor_stage(2, 1.0f, 1.0f)), adv.perturbed, 13, unused);
+  EXPECT_LE(eval.outcome.cloud.size(), adv.perturbed.size());
+  EXPECT_GE(eval.metrics.accuracy, 0.0);
 }
 
 TEST_F(PipelineTest, AdversarialSampleTransfersAcrossSeeds) {
   AttackConfig config;
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 25;
-  const AttackResult adv = run_attack(*model_a_, *cloud_, config);
+  const AttackResult adv = AttackEngine(*model_a_, config).run(*cloud_);
   const auto self = evaluate_segmentation(adv.predictions, cloud_->labels, 13);
-  const auto transferred = evaluate_transfer(*model_b_, adv.perturbed, 13);
-  const auto clean_b = evaluate_transfer(*model_b_, *cloud_, 13);
+  const auto transferred =
+      evaluate_segmentation(model_b_->predict(adv.perturbed), cloud_->labels, 13);
+  const auto clean_b = evaluate_segmentation(model_b_->predict(*cloud_), cloud_->labels, 13);
   // Transfer is weaker than the white-box attack but should still hurt.
   EXPECT_LT(transferred.accuracy, clean_b.accuracy + 1e-9);
   EXPECT_GE(transferred.accuracy, self.accuracy - 1e-9);

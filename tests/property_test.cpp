@@ -9,8 +9,8 @@
 #include <tuple>
 
 #include "gradcheck.h"
-#include "pcss/core/attack.h"
-#include "pcss/core/defense.h"
+#include "pcss/core/attack_engine.h"
+#include "pcss/core/defense_stage.h"
 #include "pcss/core/metrics.h"
 #include "pcss/data/indoor.h"
 #include "pcss/data/outdoor.h"
@@ -390,7 +390,7 @@ TEST_P(AttackMatrix, RunsAndRespectsFieldIsolation) {
     config.target_mask =
         pcss::core::mask_for_class(cloud_->labels, static_cast<int>(pcss::data::IndoorClass::kWall));
   }
-  const auto result = pcss::core::run_attack(*model_, *cloud_, config);
+  const auto result = pcss::core::AttackEngine(*model_, config).run(*cloud_);
   EXPECT_EQ(static_cast<std::int64_t>(result.predictions.size()), cloud_->size());
   EXPECT_NO_THROW(result.perturbed.validate());
   if (field == AttackField::kColor) {
@@ -420,7 +420,7 @@ TEST_P(SrsSweep, RemovesRequestedFraction) {
   Rng rng(9);
   const auto cloud = gen.generate(rng);
   Rng def(10);
-  const auto defended = pcss::core::srs_defense(cloud, GetParam(), def);
+  const auto defended = pcss::core::make_srs_stage(GetParam())->apply(cloud, def).cloud;
   EXPECT_EQ(defended.size(), cloud.size() - GetParam());
 }
 

@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "pcss/core/transfer.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
 #include "pcss/train/checkpoint.h"
@@ -16,46 +15,6 @@ using pcss::models::ResGCNSeg;
 using pcss::tensor::Rng;
 
 namespace {
-
-// --- transfer utilities ------------------------------------------------------
-
-TEST(Transfer, RemapRangeLinearAndInvertible) {
-  using pcss::core::remap_range;
-  // ResGCN [-1,1] -> PointNet++ [0,3], the paper's exact case.
-  EXPECT_FLOAT_EQ(remap_range(-1.0f, -1, 1, 0, 3), 0.0f);
-  EXPECT_FLOAT_EQ(remap_range(1.0f, -1, 1, 0, 3), 3.0f);
-  EXPECT_FLOAT_EQ(remap_range(0.0f, -1, 1, 0, 3), 1.5f);
-  const float x = 0.37f;
-  const float there = remap_range(x, -1, 1, 0, 3);
-  EXPECT_NEAR(remap_range(there, 0, 3, -1, 1), x, 1e-6f);
-  EXPECT_THROW(remap_range(0.0f, 1, 1, 0, 3), std::invalid_argument);
-}
-
-TEST(Transfer, RemapCloudCoordinates) {
-  pcss::data::PointCloud cloud;
-  cloud.push_back({-1, 0, 1}, {0.5f, 0.5f, 0.5f}, 0);
-  const auto remapped = pcss::core::remap_cloud_coordinates(cloud, -1, 1, 0, 3);
-  EXPECT_FLOAT_EQ(remapped.positions[0][0], 0.0f);
-  EXPECT_FLOAT_EQ(remapped.positions[0][1], 1.5f);
-  EXPECT_FLOAT_EQ(remapped.positions[0][2], 3.0f);
-  // Labels and colors untouched.
-  EXPECT_EQ(remapped.labels[0], 0);
-}
-
-TEST(Transfer, EvaluateTransferRuns) {
-  Rng init(3);
-  ResGCNConfig config;
-  config.num_classes = pcss::data::kIndoorNumClasses;
-  config.channels = 8;
-  config.blocks = 1;
-  ResGCNSeg model(config, init);
-  IndoorSceneGenerator gen({.num_points = 120});
-  Rng rng(4);
-  const auto cloud = gen.generate(rng);
-  const auto m = pcss::core::evaluate_transfer(model, cloud, config.num_classes);
-  EXPECT_GE(m.accuracy, 0.0);
-  EXPECT_LE(m.accuracy, 1.0);
-}
 
 // --- viz ---------------------------------------------------------------------
 
